@@ -82,13 +82,14 @@ durability:
 	$(GO) test ./internal/query/ -run 'Cancel|Batch' -v
 	$(GO) test . -run 'TestStoreContextCancelled|TestStoreExecuteBatchContextCancelled|TestStoreBatchPanicIsolated' -v
 
-# The sharding differential gate: the same workloads through 1-shard and
-# N-shard stores must produce bit-identical answers (bitmaps, aggregate
-# values including NaN/signed-zero, scan totals), at the coordinator and at
-# the public API.
+# The sharding differential gate: the same workloads through a bare
+# single-relation engine and 1-shard and N-shard coordinators must produce
+# bit-identical answers (bitmaps, aggregate values including NaN/signed-zero,
+# scan totals, tag groups), at the coordinator and at the public API; and a
+# query must record the same trace and slow-log shape for 1 shard as for N.
 shard-diff:
 	$(GO) test ./internal/shard/ -run 'TestDifferential' -v
-	$(GO) test . -run 'TestShardedPublicDifferential' -v
+	$(GO) test . -run 'TestShardedPublicDifferential|TestShardedTraceTree|TestSlowQueryLogThroughStore' -v
 
 # The paged-storage differential gate: a saved-and-reloaded paged store must
 # return bit-identical answers to the in-memory store it was saved from —

@@ -116,9 +116,10 @@ func FlattenSequence(stops []string, legMeasures []float64) (*Record, error) {
 type Store struct {
 	coord *shard.Coordinator
 
-	// rel and eng are shard 0's relation and engine — the whole store when
-	// NumShards() == 1, and the plan/advisor representative otherwise
-	// (shards share the schema and views, so shard 0's plans stand for all).
+	// rel and eng are shard 0's relation and engine: the representative for
+	// plans, the view advisor and view listings (shards share the schema and
+	// views, so shard 0 stands for all), and the flat one-shard snapshot
+	// layout in Save. Queries and per-record data go through coord.
 	rel *colstore.Relation
 	reg *graph.Registry
 	eng *query.Engine

@@ -5,129 +5,51 @@ import (
 	"go/types"
 )
 
-// MutexByValue is a copylocks check for the sync and sync/atomic state grove
-// threads through its concurrent read path: values whose type (transitively)
-// contains a sync.Mutex/RWMutex/WaitGroup/Once/Cond/Map/Pool or a
-// sync/atomic value type must never be copied — a copied RWMutex forks the
-// lock and a copied atomic forks the counter, and both fail silently.
+// MutexByValue reports functions that declare a result by value whose type
+// (transitively) contains a sync.Mutex/RWMutex/WaitGroup/Once/Cond/Map/Pool
+// or a sync/atomic value type. Every caller then receives a copy: a copied
+// RWMutex forks the lock and a copied atomic forks the counter, and both
+// fail silently.
 //
-// Flagged copies: by-value receivers, parameters and results; assignments
-// whose right-hand side is an addressable value (variable, field, *p
-// dereference, index expression); and range clauses that copy elements.
-// Constructing a fresh value (composite literal, call result) is allowed —
-// the function returning it by value is flagged at its own declaration.
+// It covers only what `go vet`'s copylocks pass (run first by `make check`
+// and `make race`) misses: vet flags by-value receivers and parameters,
+// copying assignments, range clauses and call arguments, but accepts a
+// by-value result declaration whose body returns a fresh composite literal.
 var MutexByValue = &Analyzer{
 	Name: "mutexbyvalue",
-	Doc:  "no copying of values containing sync or sync/atomic state",
+	Doc:  "no results declared by value containing sync or sync/atomic state",
 	Run:  runMutexByValue,
 }
 
 func runMutexByValue(pass *Pass) {
-	c := &copyChecker{pass: pass, seen: map[types.Type]string{}}
+	info := pass.Pkg.Info
+	if info == nil {
+		return
+	}
+	seen := map[types.Type]string{}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			var ft *ast.FuncType
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if n.Recv != nil {
-					c.checkFieldList(n.Recv, "receiver")
-				}
-				c.checkSignature(n.Type)
+				ft = n.Type
 			case *ast.FuncLit:
-				c.checkSignature(n.Type)
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					c.checkCopy(rhs, "assignment")
+				ft = n.Type
+			}
+			if ft == nil || ft.Results == nil {
+				return true
+			}
+			for _, field := range ft.Results.List {
+				tv, ok := info.Types[field.Type]
+				if !ok || tv.Type == nil {
+					continue
 				}
-			case *ast.ValueSpec:
-				for _, v := range n.Values {
-					c.checkCopy(v, "assignment")
-				}
-			case *ast.RangeStmt:
-				c.checkRangeVar(n.Key)
-				c.checkRangeVar(n.Value)
-			case *ast.CallExpr:
-				for _, arg := range n.Args {
-					c.checkCopy(arg, "call argument")
+				if lock := lockIn(seen, tv.Type); lock != "" {
+					pass.Reportf(field.Type.Pos(), "result passes a lock by value: %s", describeLock(tv.Type, lock))
 				}
 			}
 			return true
 		})
-	}
-}
-
-type copyChecker struct {
-	pass *Pass
-	seen map[types.Type]string // type → contained lock description ("" = none)
-}
-
-func (c *copyChecker) checkSignature(ft *ast.FuncType) {
-	c.checkFieldList(ft.Params, "parameter")
-	if ft.Results != nil {
-		c.checkFieldList(ft.Results, "result")
-	}
-}
-
-func (c *copyChecker) checkFieldList(fl *ast.FieldList, what string) {
-	if fl == nil || c.pass.Pkg.Info == nil {
-		return
-	}
-	for _, field := range fl.List {
-		tv, ok := c.pass.Pkg.Info.Types[field.Type]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		if lock := c.lockIn(tv.Type); lock != "" {
-			c.pass.Reportf(field.Type.Pos(), "%s passes a lock by value: %s", what, describeLock(tv.Type, lock))
-		}
-	}
-}
-
-// checkCopy flags e when it reads an existing lock-containing value (as
-// opposed to constructing one).
-func (c *copyChecker) checkCopy(e ast.Expr, what string) {
-	e = unparen(e)
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return // composite literals, calls, &x, literals: not a copy of an existing value
-	}
-	info := c.pass.Pkg.Info
-	if info == nil {
-		return
-	}
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil || tv.IsType() {
-		return
-	}
-	if lock := c.lockIn(tv.Type); lock != "" {
-		c.pass.Reportf(e.Pos(), "%s copies a lock: %s", what, describeLock(tv.Type, lock))
-	}
-}
-
-func (c *copyChecker) checkRangeVar(e ast.Expr) {
-	if e == nil || isBlank(e) {
-		return
-	}
-	info := c.pass.Pkg.Info
-	if info == nil {
-		return
-	}
-	var t types.Type
-	if id, ok := e.(*ast.Ident); ok {
-		if obj, ok := info.Defs[id]; ok && obj != nil {
-			t = obj.Type()
-		}
-	}
-	if t == nil {
-		if tv, ok := info.Types[e]; ok {
-			t = tv.Type
-		}
-	}
-	if t == nil {
-		return
-	}
-	if lock := c.lockIn(t); lock != "" {
-		c.pass.Reportf(e.Pos(), "range clause copies a lock: %s", describeLock(t, lock))
 	}
 }
 
@@ -139,36 +61,32 @@ func describeLock(t types.Type, lock string) string {
 }
 
 // lockIn returns the description of a lock type contained (transitively, by
-// value) in t, or "".
-func (c *copyChecker) lockIn(t types.Type) string {
-	if d, ok := c.seen[t]; ok {
+// value) in t, or "". seen memoizes per type ("" = none) and breaks
+// recursive types.
+func lockIn(seen map[types.Type]string, t types.Type) string {
+	if d, ok := seen[t]; ok {
 		return d
 	}
-	c.seen[t] = "" // breaks recursive types; overwritten below
-	d := c.lockIn1(t)
-	c.seen[t] = d
-	return d
-}
-
-func (c *copyChecker) lockIn1(t types.Type) string {
+	seen[t] = "" // overwritten below
+	var d string
 	switch t := t.(type) {
 	case *types.Named:
 		if isLockType(t) {
-			return t.String()
+			d = t.String()
+		} else {
+			d = lockIn(seen, t.Underlying())
 		}
-		return c.lockIn(t.Underlying())
 	case *types.Alias:
-		return c.lockIn(types.Unalias(t))
+		d = lockIn(seen, types.Unalias(t))
 	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if d := c.lockIn(t.Field(i).Type()); d != "" {
-				return d
-			}
+		for i := 0; i < t.NumFields() && d == ""; i++ {
+			d = lockIn(seen, t.Field(i).Type())
 		}
 	case *types.Array:
-		return c.lockIn(t.Elem())
+		d = lockIn(seen, t.Elem())
 	}
-	return ""
+	seen[t] = d
+	return d
 }
 
 // syncLockTypes are the by-value-uncopyable types of package sync;

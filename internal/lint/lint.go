@@ -9,7 +9,8 @@
 // packages (droppederr), the fsio-mediated-I/O rule for the persistence
 // layer (fsioonly), the Prometheus metric-name contract of the obs registry
 // (metricname), the module's stdlib-only dependency policy (stdlibonly), and
-// lock/atomic hygiene (mutexbyvalue, atomicmix).
+// the lock/atomic hygiene `go vet`'s copylocks leaves open: results declared
+// by value (mutexbyvalue) and mixed atomic/plain field access (atomicmix).
 //
 // A second, interprocedural tier builds a module-wide call graph with
 // per-function summaries (see callgraph.go) and reasons across function

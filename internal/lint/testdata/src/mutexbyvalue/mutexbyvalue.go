@@ -1,4 +1,6 @@
 // Package mutexbyvalue is the golden fixture for the mutexbyvalue analyzer.
+// Only the by-value result carries a want: `go vet`'s copylocks pass reports
+// every other copy below, so grovevet must stay silent on those lines.
 package mutexbyvalue
 
 import (
@@ -24,36 +26,36 @@ func constructOK() *Guarded {
 	return &g
 }
 
-func byValueParam(g Guarded) int { return g.n } // want "parameter passes a lock by value"
+func byValueParam(g Guarded) int { return g.n }
 
 func byValueResult() Guarded { // want "result passes a lock by value"
 	return Guarded{}
 }
 
 func derefCopy(p *Guarded) {
-	local := *p // want "assignment copies a lock"
+	local := *p
 	use(local.n)
 }
 
 func aliasCopy(p *Guarded) {
-	tmp := *p    // want "assignment copies a lock"
-	other := tmp // want "assignment copies a lock"
+	tmp := *p
+	other := tmp
 	use(other.n)
 }
 
 func rangeCopy(gs []Guarded) int {
 	total := 0
-	for _, g := range gs { // want "range clause copies a lock"
+	for _, g := range gs {
 		total += g.n
 	}
 	return total
 }
 
 func passByValue(p *Guarded) int {
-	return byValueParam(*p) // want "call argument copies a lock"
+	return byValueParam(*p)
 }
 
 func atomicCopy(c *Counted) {
-	snapshot := *c // want "assignment copies a lock"
+	snapshot := *c
 	use(int(snapshot.hits.Load()))
 }

@@ -30,7 +30,7 @@ type SlowQuery struct {
 	IO             IODelta `json:"io"`
 
 	// Shards carries the per-shard queue-wait/execution breakdown of a
-	// coordinator-level entry (nil for single-shard / engine-level entries).
+	// coordinator-level entry (nil for engine-level entries).
 	Shards []ShardTiming `json:"shards,omitempty"`
 }
 

@@ -100,11 +100,12 @@ type Span struct {
 // Duration returns the span's wall time.
 func (s Span) Duration() time.Duration { return time.Duration(s.DurationNanos) }
 
-// Trace is the complete record of one query's execution. On a sharded store
-// a scatter-gathered query records one root trace (Shard == ShardCoordinator,
-// spans fan-out / queue-wait / merge) whose Children are the per-shard engine
-// traces; a single-shard query records a flat trace with Shard 0 and no
-// Children.
+// Trace is the complete record of one query's execution. A store query
+// records one root trace whatever the shard count (Shard ==
+// ShardCoordinator, spans fan-out / queue-wait / merge, plus parse for a
+// text statement) whose Children are the per-shard engine traces; an engine
+// executing a query directly — a batch sub-query, say — records a flat trace
+// labelled with its shard and no Children.
 type Trace struct {
 	Kind           string  `json:"kind"`
 	Query          string  `json:"query,omitempty"`

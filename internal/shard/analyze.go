@@ -13,20 +13,14 @@ import (
 // merge phases, coordinator-level I/O totals) and carries one child trace per
 // shard with that shard's exact per-phase I/O.
 //
-// Shards run sequentially on the caller's goroutine — like the single-shard
-// ExplainAnalyze, the point is exact attribution, not representative latency —
-// so the observed I/O deltas are exact: the root's fetch counts equal the sum
-// over the children, and each child's bitmap fetches equal the plan's
-// BitmapsFetched against that shard's slice of the records. The per-shard runs
-// bypass result caches, serving metrics, the trace ring, and the slow log
-// (see Engine.ExplainAnalyze).
+// Shards run sequentially on the caller's goroutine — like
+// Engine.ExplainAnalyze, the point is exact attribution, not representative
+// latency — so the observed I/O deltas are exact: the root's fetch counts
+// equal the sum over the children, and each child's bitmap fetches equal the
+// plan's BitmapsFetched against that shard's slice of the records. The
+// per-shard runs bypass result caches, serving metrics, the trace ring, and
+// the slow log (see Engine.ExplainAnalyze).
 func (c *Coordinator) ExplainAnalyze(q *query.GraphQuery) (*query.ExplainAnalysis, error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return u.Eng.ExplainAnalyze(q)
-	}
 	// Shards share the schema and views, so shard 0's plan represents all.
 	plan, err := c.units[0].Eng.Explain(q)
 	if err != nil {

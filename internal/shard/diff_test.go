@@ -18,6 +18,11 @@ import (
 // text statements — answers bit-identically, including the total
 // MeasuresScanned accounting (every record is scanned exactly once, in
 // exactly one shard).
+//
+// The reference answers come from the 1-shard coordinator's bare engine
+// (c1.Unit(0).Eng), never from a Coordinator query entry point, so n=1 is a
+// real test row: the one-shard scatter-gather and merge path is compared
+// bit for bit against the single relation it wraps.
 
 // fig2Records transcribes the paper's running example (Fig. 2 / Table 1):
 // three records over edges e1=(A,B) e2=(A,C) e3=(C,E) e4=(A,D) e5=(D,E)
@@ -97,7 +102,7 @@ func buildPair(t testing.TB, records []*graph.Record, n int) (*Coordinator, *Coo
 
 func diffMatch(t *testing.T, c1, cn *Coordinator, q *query.GraphQuery) {
 	t.Helper()
-	r1, err1 := c1.MatchContext(context.Background(), q)
+	r1, err1 := c1.Unit(0).Eng.ExecuteGraphQueryContext(context.Background(), q)
 	rn, errn := cn.MatchContext(context.Background(), q)
 	if (err1 == nil) != (errn == nil) {
 		t.Fatalf("%s: errors diverge: %v vs %v", q.String(), err1, errn)
@@ -115,7 +120,7 @@ func diffMatch(t *testing.T, c1, cn *Coordinator, q *query.GraphQuery) {
 // the fetched-measure totals.
 func diffAgg(t *testing.T, c1, cn *Coordinator, q *query.PathAggQuery) {
 	t.Helper()
-	r1, err1 := c1.AggregateContext(context.Background(), q)
+	r1, err1 := c1.Unit(0).Eng.ExecutePathAggQueryContext(context.Background(), q)
 	rn, errn := cn.AggregateContext(context.Background(), q)
 	if (err1 == nil) != (errn == nil) {
 		t.Fatalf("%s: errors diverge: %v vs %v", q.String(), err1, errn)
@@ -154,7 +159,7 @@ func assertAggEqual(t *testing.T, label string, r1, rn *query.AggResult) {
 }
 
 func TestDifferentialFig2Corpus(t *testing.T) {
-	for _, n := range []int{2, 3, 8} {
+	for _, n := range []int{1, 2, 3, 8} {
 		c1, cn := buildPair(t, fig2Records(t), n)
 
 		for _, nodes := range [][]string{
@@ -192,7 +197,7 @@ func TestDifferentialFig2Corpus(t *testing.T) {
 			}},
 			B: query.Leaf{Q: query.FromPath(gpath.Closed("F", "G"))},
 		}
-		b1, err1 := c1.EvalExprContext(context.Background(), expr)
+		b1, err1 := c1.Unit(0).Eng.EvalExprContext(context.Background(), expr)
 		bn, errn := cn.EvalExprContext(context.Background(), expr)
 		if err1 != nil || errn != nil {
 			t.Fatalf("eval: %v / %v", err1, errn)
@@ -207,7 +212,7 @@ func TestDifferentialFig2Corpus(t *testing.T) {
 			"MAX [A,D,E,F,G]",
 			"([A,B] OR [F,G]) AND [A,D]",
 		} {
-			s1, err1 := c1.ExecuteStatementContext(context.Background(), text)
+			s1, err1 := c1.Unit(0).Eng.ExecuteStatementContext(context.Background(), text)
 			sn, errn := cn.ExecuteStatementContext(context.Background(), text)
 			if (err1 == nil) != (errn == nil) {
 				t.Fatalf("%q: errors diverge: %v vs %v", text, err1, errn)
@@ -233,7 +238,7 @@ func TestDifferentialFig2Corpus(t *testing.T) {
 func TestDifferentialRandomCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	records := randomRecords(t, rng, 120)
-	for _, n := range []int{2, 8} {
+	for _, n := range []int{1, 2, 8} {
 		c1, cn := buildPair(t, records, n)
 
 		// Random structural queries drawn from stored records (usually
@@ -266,7 +271,6 @@ func TestDifferentialRandomCorpus(t *testing.T) {
 func TestDifferentialBatchesAndScanTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	records := randomRecords(t, rng, 80)
-	c1, cn := buildPair(t, records, 8)
 
 	var graphQs []*query.GraphQuery
 	var aggQs []*query.PathAggQuery
@@ -281,7 +285,16 @@ func TestDifferentialBatchesAndScanTotals(t *testing.T) {
 		aggQs = append(aggQs, query.NewPathAggQuery(g, query.Sum))
 	}
 
-	res1, errs1 := c1.ExecuteGraphBatchContext(context.Background(), graphQs, 4)
+	for _, n := range []int{1, 8} {
+		c1, cn := buildPair(t, records, n)
+		diffBatches(t, c1, cn, graphQs, aggQs)
+	}
+}
+
+func diffBatches(t *testing.T, c1, cn *Coordinator, graphQs []*query.GraphQuery, aggQs []*query.PathAggQuery) {
+	t.Helper()
+	ref := query.NewBatchExecutor(c1.Unit(0).Eng, 4)
+	res1, errs1 := ref.ExecuteGraphQueriesContext(context.Background(), graphQs)
 	resn, errsn := cn.ExecuteGraphBatchContext(context.Background(), graphQs, 4)
 	for i := range graphQs {
 		if (errs1[i] == nil) != (errsn[i] == nil) {
@@ -300,7 +313,7 @@ func TestDifferentialBatchesAndScanTotals(t *testing.T) {
 	// exactly once, so the totals agree exactly.
 	c1.ResetIOStats()
 	cn.ResetIOStats()
-	ares1, aerrs1 := c1.ExecutePathAggBatchContext(context.Background(), aggQs, 4)
+	ares1, aerrs1 := ref.ExecutePathAggQueriesContext(context.Background(), aggQs)
 	aresn, aerrsn := cn.ExecutePathAggBatchContext(context.Background(), aggQs, 4)
 	for i := range aggQs {
 		if (aerrs1[i] == nil) != (aerrsn[i] == nil) {
@@ -313,9 +326,9 @@ func TestDifferentialBatchesAndScanTotals(t *testing.T) {
 	}
 	s1, sn := c1.IOStats(), cn.IOStats()
 	if s1.MeasuresScanned != sn.MeasuresScanned {
-		t.Fatalf("MeasuresScanned diverges: 1-shard %d, 8-shard %d", s1.MeasuresScanned, sn.MeasuresScanned)
+		t.Fatalf("MeasuresScanned diverges: 1-shard %d, %d-shard %d", s1.MeasuresScanned, cn.NumShards(), sn.MeasuresScanned)
 	}
 	if s1.RecordsReturned != sn.RecordsReturned {
-		t.Fatalf("RecordsReturned diverges: 1-shard %d, 8-shard %d", s1.RecordsReturned, sn.RecordsReturned)
+		t.Fatalf("RecordsReturned diverges: 1-shard %d, %d-shard %d", s1.RecordsReturned, cn.NumShards(), sn.RecordsReturned)
 	}
 }

@@ -20,22 +20,26 @@ import (
 // results in shard order. The first shard failure cancels the siblings'
 // sub-context, so a cancelled or failed query promptly abandons all shard
 // sub-queries instead of letting the stragglers run to completion. A panic
-// in a shard goroutine is recovered into an error (on the single-relation
-// path a query panic unwinds the caller's goroutine; here it would kill the
-// process otherwise).
+// in fn is recovered into a "shard s: query panicked" error whatever the
+// shard count (in a shard goroutine it would kill the process otherwise).
 //
 // With one shard, fn runs inline on the caller's goroutine — no goroutine,
-// channel, or context allocation — so the n=1 store keeps the exact
+// channel, or context allocation — so the n=1 store keeps the
 // single-relation execution profile.
-func scatter[T any](ctx context.Context, c *Coordinator, fn func(ctx context.Context, s int, u *Unit) (T, error)) ([]T, error) {
+func scatter[T any](ctx context.Context, c *Coordinator, fn func(ctx context.Context, s int, u *Unit) (T, error)) (out []T, err error) {
 	n := len(c.units)
 	if n == 1 {
 		u := c.units[0]
 		u.pending.Add(1)
 		defer u.pending.Add(-1)
-		v, err := fn(ctx, 0, u)
-		if err != nil {
-			return nil, err
+		defer func() {
+			if p := recover(); p != nil {
+				out, err = nil, panicError(0, p)
+			}
+		}()
+		v, ferr := fn(ctx, 0, u)
+		if ferr != nil {
+			return nil, ferr
 		}
 		return []T{v}, nil
 	}
@@ -52,7 +56,7 @@ func scatter[T any](ctx context.Context, c *Coordinator, fn func(ctx context.Con
 			defer u.pending.Add(-1)
 			defer func() {
 				if p := recover(); p != nil {
-					errs[s] = fmt.Errorf("shard %d: query panicked: %v", s, p)
+					errs[s] = panicError(s, p)
 					cancel()
 				}
 			}()
@@ -70,6 +74,10 @@ func scatter[T any](ctx context.Context, c *Coordinator, fn func(ctx context.Con
 		return nil, err
 	}
 	return results, nil
+}
+
+func panicError(s int, p any) error {
+	return fmt.Errorf("shard %d: query panicked: %v", s, p)
 }
 
 // scatterError picks the error to surface from a scatter round. When one
@@ -124,40 +132,87 @@ type subOut[T any] struct {
 	dur    time.Duration
 }
 
-// runScattered executes one logical query across every shard of a multi-shard
-// coordinator and merges the partials. kind and qstr name the query for the
-// root trace and the slow log (qstr may be empty when neither is attached —
-// callers skip rendering it to keep the disabled path allocation-free).
+// rootObs is the coordinator-level observation of one logical query: its
+// root trace and its slow-log start point. With no hook attached it holds
+// only the labels and observes nothing.
+type rootObs struct {
+	kind, qstr string
+	ring       *obs.TraceRing
+	root       *obs.ActiveTrace
+	slow       *obs.SlowLog
+	start      time.Time
+	startIO    obs.IODelta
+}
+
+// observe opens the observation of one logical query. kind and qstr name the
+// query for the root trace and the slow log (qstr may be empty when neither
+// is attached — callers skip rendering it to keep the disabled path
+// allocation-free).
+func (c *Coordinator) observe(kind, qstr string) rootObs {
+	o := rootObs{kind: kind, qstr: qstr, ring: c.traces, slow: c.slow}
+	if o.slow != nil {
+		o.start = time.Now()
+		o.startIO = c.ioNow()
+	}
+	if o.ring != nil {
+		o.root = obs.StartTrace(kind, qstr, c.ioNow())
+		o.root.SetShard(obs.ShardCoordinator)
+	}
+	return o
+}
+
+// finish records the root trace and, when the query crossed the slow log's
+// threshold, one merged slow-log entry with the per-shard timings.
+func (c *Coordinator) finish(o *rootObs, shards []obs.ShardTiming, err error) {
+	if o.root != nil {
+		o.ring.Add(o.root.Finish(c.ioNow()))
+	}
+	if o.slow == nil {
+		return
+	}
+	d := time.Since(o.start)
+	if d < o.slow.Threshold() {
+		return
+	}
+	sq := obs.SlowQuery{
+		Kind:           o.kind,
+		Query:          o.qstr,
+		Shard:          obs.ShardCoordinator,
+		StartUnixNanos: o.start.UnixNano(),
+		DurationNanos:  d.Nanoseconds(),
+		IO:             c.ioNow().Sub(o.startIO),
+		Shards:         shards,
+	}
+	if err != nil {
+		sq.Error = err.Error()
+		sq.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	}
+	o.slow.Add(sq)
+}
+
+// runScattered executes one logical query across every shard and merges the
+// partials, whatever the shard count.
 //
 // With no observability hooks attached this is exactly scatter + merge. With
 // tracing on, each shard sub-query runs on an engine clone holding a private
 // one-slot capture ring, and the coordinator records one hierarchical root
 // trace: a fan-out span covering the scatter, one queue-wait span per shard
 // (dispatch → sub-query start), the per-shard engine traces as children, and
-// a merge span. With the slow log on, the clone detaches the engine-level
+// a merge span; the root is Cached when every child was served from the
+// result cache. With the slow log on, the clone detaches the engine-level
 // log — the coordinator records one merged entry per logical query with
 // per-shard timings instead of N fragments. Queue-wait and merge histograms
 // are observed when attached.
-func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr string,
+func runScattered[T, R any](ctx context.Context, c *Coordinator, o rootObs,
 	run func(ctx context.Context, eng *query.Engine, u *Unit) (T, error),
 	merge func(subs []T) R) (R, error) {
 
 	var zero R
-	ring, slow := c.traces, c.slow
-	var start time.Time
-	var startIO obs.IODelta
-	if slow != nil {
-		start = time.Now()
-		startIO = c.ioNow()
+	if o.root != nil {
+		o.root.Begin(obs.PhaseFanOut, c.ioNow())
 	}
-	var root *obs.ActiveTrace
-	if ring != nil {
-		root = obs.StartTrace(kind, qstr, c.ioNow())
-		root.SetShard(obs.ShardCoordinator)
-		root.Begin(obs.PhaseFanOut, c.ioNow())
-	}
-	capture := root != nil
-	clone := capture || slow != nil
+	capture := o.root != nil
+	clone := capture || o.slow != nil
 	timed := clone || c.queueWait != nil
 	var dispatch time.Time
 	if timed {
@@ -204,24 +259,24 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 	if err != nil {
 		// The per-shard results (and their captured traces) are discarded by
 		// scatter on error; the root still records the failed fan-out.
-		if root != nil {
-			ring.Add(root.Finish(c.ioNow()))
-		}
-		if slow != nil {
-			c.slowObserve(kind, qstr, start, startIO, nil, err)
-		}
+		c.finish(&o, nil, err)
 		return zero, err
 	}
-	if root != nil {
-		root.Begin(obs.PhaseMerge, c.ioNow()) // closes the fan-out span
+	if o.root != nil {
+		o.root.Begin(obs.PhaseMerge, c.ioNow()) // closes the fan-out span
 		for s, sb := range subs {
-			root.AddSpan(obs.Span{Phase: obs.PhaseQueueWait, Shard: s,
+			o.root.AddSpan(obs.Span{Phase: obs.PhaseQueueWait, Shard: s,
 				DurationNanos: sb.wait.Nanoseconds()})
 		}
+		cached := true
 		for _, sb := range subs {
 			if sb.traced {
-				root.AddChild(sb.child)
+				o.root.AddChild(sb.child)
 			}
+			cached = cached && sb.traced && sb.child.Cached
+		}
+		if cached {
+			o.root.SetCached()
 		}
 	}
 	vals := make([]T, len(subs))
@@ -236,41 +291,16 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, kind, qstr stri
 	if c.mergeDur != nil {
 		c.mergeDur.Observe(time.Since(mstart).Seconds())
 	}
-	if root != nil {
-		ring.Add(root.Finish(c.ioNow()))
-	}
-	if slow != nil {
-		timings := make([]obs.ShardTiming, len(subs))
+	var timings []obs.ShardTiming
+	if o.slow != nil {
+		timings = make([]obs.ShardTiming, len(subs))
 		for s, sb := range subs {
 			timings[s] = obs.ShardTiming{Shard: s,
 				QueueNanos: sb.wait.Nanoseconds(), DurationNanos: sb.dur.Nanoseconds()}
 		}
-		c.slowObserve(kind, qstr, start, startIO, timings, nil)
 	}
+	c.finish(&o, timings, nil)
 	return out, nil
-}
-
-// slowObserve appends a coordinator-level slow-log entry when the finished
-// scatter-gather crossed the log's latency threshold.
-func (c *Coordinator) slowObserve(kind, qstr string, start time.Time, startIO obs.IODelta, shards []obs.ShardTiming, err error) {
-	d := time.Since(start)
-	if d < c.slow.Threshold() {
-		return
-	}
-	sq := obs.SlowQuery{
-		Kind:           kind,
-		Query:          qstr,
-		Shard:          obs.ShardCoordinator,
-		StartUnixNanos: start.UnixNano(),
-		DurationNanos:  d.Nanoseconds(),
-		IO:             c.ioNow().Sub(startIO),
-		Shards:         shards,
-	}
-	if err != nil {
-		sq.Error = err.Error()
-		sq.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	}
-	c.slow.Add(sq)
 }
 
 // queryName renders a query's display string only when an observability hook
@@ -289,8 +319,13 @@ func (c *Coordinator) queryName(s fmt.Stringer) string {
 // mergeResults combines per-shard graph-query results: the global answer is
 // the offset-translated union of the (disjoint) per-shard answers. Plan is
 // shard 0's, as the representative — shards share the schema and views, so
-// the plans agree.
+// the plans agree. A single partial passes through unchanged (its local ids
+// are global ids), keeping its cache flag and measure fetch. subs is not
+// retained.
 func (c *Coordinator) mergeResults(q *query.GraphQuery, subs []*query.Result) *query.Result {
+	if len(subs) == 1 {
+		return subs[0]
+	}
 	answers := make([]*bitmap.Bitmap, len(subs))
 	for i, r := range subs {
 		answers[i] = r.Answer
@@ -299,19 +334,13 @@ func (c *Coordinator) mergeResults(q *query.GraphQuery, subs []*query.Result) *q
 		Query:  q,
 		Plan:   subs[0].Plan,
 		Answer: c.mergeBitmaps(answers),
-		Subs:   subs,
+		Subs:   append([]*query.Result(nil), subs...),
 	}
 }
 
 // MatchContext executes a structural graph query across all shards.
 func (c *Coordinator) MatchContext(ctx context.Context, q *query.GraphQuery) (*query.Result, error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return u.Eng.ExecuteGraphQueryContext(ctx, q)
-	}
-	return runScattered(ctx, c, obs.KindGraph, c.queryName(q),
+	return runScattered(ctx, c, c.observe(obs.KindGraph, c.queryName(q)),
 		func(ctx context.Context, eng *query.Engine, u *Unit) (*query.Result, error) {
 			return eng.ExecuteGraphQueryContext(ctx, q)
 		},
@@ -323,24 +352,18 @@ func (c *Coordinator) MatchContext(ctx context.Context, q *query.GraphQuery) (*q
 // each shard evaluates the whole expression locally and the global answer is
 // the translated union.
 func (c *Coordinator) EvalExprContext(ctx context.Context, expr query.Expr) (*bitmap.Bitmap, error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return u.Eng.EvalExprContext(ctx, expr)
-	}
-	return c.evalScattered(ctx, obs.KindExpr, c.queryName(expr), expr)
+	return c.evalScattered(ctx, c.observe(obs.KindExpr, c.queryName(expr)), expr)
 }
 
-// evalScattered is the multi-shard expression evaluation body, parameterized
-// on the trace/slow-log labels so sharded statements can reuse it under the
-// "statement" kind with the statement's text.
-func (c *Coordinator) evalScattered(ctx context.Context, kind, qstr string, expr query.Expr) (*bitmap.Bitmap, error) {
-	return runScattered(ctx, c, kind, qstr,
+// evalScattered is the expression evaluation body, parameterized on the
+// observation so statements can reuse it under the "statement" kind with the
+// statement's text.
+func (c *Coordinator) evalScattered(ctx context.Context, o rootObs, expr query.Expr) (*bitmap.Bitmap, error) {
+	return runScattered(ctx, c, o,
 		func(ctx context.Context, eng *query.Engine, u *Unit) (*bitmap.Bitmap, error) {
 			return eng.EvalExprContext(ctx, expr)
 		},
-		func(subs []*bitmap.Bitmap) *bitmap.Bitmap { return c.mergeBitmaps(subs) })
+		c.mergeBitmaps)
 }
 
 // --- path aggregation --------------------------------------------------------
@@ -349,8 +372,12 @@ func (c *Coordinator) evalScattered(ctx context.Context, kind, qstr string, expr
 // per-path folds were computed entirely inside its shard — merging is pure
 // reordering by ascending global id, never re-association of float folds —
 // so an n-shard aggregate is bit-identical to the single-shard one,
-// including NaN and signed-zero values.
+// including NaN and signed-zero values. A single partial passes through
+// unchanged.
 func (c *Coordinator) mergeAgg(q *query.PathAggQuery, subs []*query.AggResult) *query.AggResult {
+	if len(subs) == 1 {
+		return subs[0]
+	}
 	n := uint32(len(c.units))
 	type ref struct {
 		g uint32 // global record id
@@ -392,19 +419,13 @@ func (c *Coordinator) mergeAgg(q *query.PathAggQuery, subs []*query.AggResult) *
 
 // AggregateContext executes a path-aggregation query across all shards.
 func (c *Coordinator) AggregateContext(ctx context.Context, q *query.PathAggQuery) (*query.AggResult, error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return u.Eng.ExecutePathAggQueryContext(ctx, q)
-	}
-	return c.aggregateScattered(ctx, obs.KindPathAgg, c.queryName(q), q)
+	return c.aggregateScattered(ctx, c.observe(obs.KindPathAgg, c.queryName(q)), q)
 }
 
-// aggregateScattered is the multi-shard path-aggregation body, parameterized
-// on the trace/slow-log labels (see evalScattered).
-func (c *Coordinator) aggregateScattered(ctx context.Context, kind, qstr string, q *query.PathAggQuery) (*query.AggResult, error) {
-	return runScattered(ctx, c, kind, qstr,
+// aggregateScattered is the path-aggregation body, parameterized on the
+// observation (see evalScattered).
+func (c *Coordinator) aggregateScattered(ctx context.Context, o rootObs, q *query.PathAggQuery) (*query.AggResult, error) {
+	return runScattered(ctx, c, o,
 		func(ctx context.Context, eng *query.Engine, u *Unit) (*query.AggResult, error) {
 			return eng.ExecutePathAggQueryContext(ctx, q)
 		},
@@ -412,22 +433,18 @@ func (c *Coordinator) aggregateScattered(ctx context.Context, kind, qstr string,
 }
 
 // AggregateScalarContext executes a path aggregation folded all the way down
-// to one scalar across all shards. MIN/MAX queries scatter the scalar plan —
-// each shard runs its (possibly zone-skipping) scan and the shard scalars
-// merge with the query's own Fold, which is bit-identical to the global
-// record-order fold because MIN/MAX are order-independent under the kernel
-// total order. Any other function routes through the row-merging
-// AggregateContext and folds the merged rows in ascending global record
-// order, because float addition does not reassociate.
+// to one scalar across all shards. The scalar plan is scattered when no fold
+// needs re-associating: with one shard (the single partial passes through),
+// or for MIN/MAX — each shard runs its (possibly zone-skipping) scan and the
+// shard scalars merge with the query's own Fold, which is bit-identical to
+// the global record-order fold because MIN/MAX are order-independent under
+// the kernel total order. Any other function on several shards routes
+// through the row-merging AggregateContext and folds the merged rows in
+// ascending global record order, because float addition does not
+// reassociate.
 func (c *Coordinator) AggregateScalarContext(ctx context.Context, q *query.PathAggQuery) (*query.ScalarAggResult, error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return u.Eng.ExecutePathAggScalarContext(ctx, q)
-	}
-	if q != nil && (q.Agg.Name == agg.Min.Name || q.Agg.Name == agg.Max.Name) {
-		return runScattered(ctx, c, obs.KindPathAgg, c.queryName(q),
+	if len(c.units) == 1 || (q != nil && (q.Agg.Name == agg.Min.Name || q.Agg.Name == agg.Max.Name)) {
+		return runScattered(ctx, c, c.observe(obs.KindPathAgg, c.queryName(q)),
 			func(ctx context.Context, eng *query.Engine, u *Unit) (*query.ScalarAggResult, error) {
 				return eng.ExecutePathAggScalarContext(ctx, q)
 			},
@@ -459,8 +476,13 @@ func (c *Coordinator) AggregateScalarContext(ctx context.Context, q *query.PathA
 // contributions, so folding the shard values yields the extremum of the whole
 // multiset — independent of shard count and order, bit for bit (including
 // signed zero). Shards with nothing to contribute report NaN and are skipped,
-// exactly like NULL records in the single-shard fold.
+// exactly like NULL records in the single-shard fold. A single partial — the
+// only case that reaches here for other functions — passes through
+// unchanged.
 func mergeScalar(q *query.PathAggQuery, subs []*query.ScalarAggResult) *query.ScalarAggResult {
+	if len(subs) == 1 {
+		return subs[0]
+	}
 	out := &query.ScalarAggResult{Query: q, ZoneSkipped: true}
 	acc := q.Agg.Identity
 	any := false
@@ -485,30 +507,28 @@ func mergeScalar(q *query.PathAggQuery, subs []*query.ScalarAggResult) *query.Sc
 // --- statements --------------------------------------------------------------
 
 // ExecuteStatementContext parses and executes one text-language statement
-// across all shards.
+// across all shards. The coordinator parses once and scatters the parsed
+// form, so the root trace carries the parse span; it is labelled with the
+// statement kind and text, and the per-shard children trace under their own
+// execution kind.
 func (c *Coordinator) ExecuteStatementContext(ctx context.Context, text string) (*query.StatementResult, error) {
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return u.Eng.ExecuteStatementContext(ctx, text)
+	o := c.observe(obs.KindStatement, text)
+	if o.root != nil {
+		o.root.Begin(obs.PhaseParse, c.ioNow())
 	}
 	stmt, err := query.Parse(text)
 	if err != nil {
+		c.finish(&o, nil, err)
 		return nil, err
 	}
-	// The coordinator parses once and scatters the parsed form, so — unlike
-	// the single-shard path — the root trace carries no parse span; it is
-	// labelled with the statement kind and text, and the per-shard children
-	// trace under their own execution kind.
 	if stmt.Agg != nil {
-		res, err := c.aggregateScattered(ctx, obs.KindStatement, text, stmt.Agg)
+		res, err := c.aggregateScattered(ctx, o, stmt.Agg)
 		if err != nil {
 			return nil, err
 		}
 		return &query.StatementResult{Agg: res}, nil
 	}
-	ids, err := c.evalScattered(ctx, obs.KindStatement, text, stmt.Expr)
+	ids, err := c.evalScattered(ctx, o, stmt.Expr)
 	if err != nil {
 		return nil, err
 	}
@@ -524,11 +544,9 @@ func (c *Coordinator) batchWorkers(workers int) int {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if n := len(c.units); n > 1 {
-		workers /= n
-		if workers < 1 {
-			workers = 1
-		}
+	workers /= len(c.units)
+	if workers < 1 {
+		workers = 1
 	}
 	return workers
 }
@@ -540,12 +558,6 @@ func (c *Coordinator) batchWorkers(workers int) int {
 // query errors if it failed on any shard.
 func (c *Coordinator) ExecuteGraphBatchContext(ctx context.Context, queries []*query.GraphQuery, workers int) ([]*query.Result, []error) {
 	per := c.batchWorkers(workers)
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return query.NewBatchExecutor(u.Eng, per).ExecuteGraphQueriesContext(ctx, queries)
-	}
 	type shardOut struct {
 		res  []*query.Result
 		errs []error
@@ -584,7 +596,7 @@ func (c *Coordinator) ExecuteGraphBatchContext(ctx context.Context, queries []*q
 			outErrs[i] = qerr
 			continue
 		}
-		out[i] = c.mergeResults(q, append([]*query.Result(nil), subsI...))
+		out[i] = c.mergeResults(q, subsI)
 	}
 	if c.mergeDur != nil {
 		c.mergeDur.Observe(time.Since(mstart).Seconds())
@@ -596,12 +608,6 @@ func (c *Coordinator) ExecuteGraphBatchContext(ctx context.Context, queries []*q
 // path-aggregation batches.
 func (c *Coordinator) ExecutePathAggBatchContext(ctx context.Context, queries []*query.PathAggQuery, workers int) ([]*query.AggResult, []error) {
 	per := c.batchWorkers(workers)
-	if len(c.units) == 1 {
-		u := c.units[0]
-		u.pending.Add(1)
-		defer u.pending.Add(-1)
-		return query.NewBatchExecutor(u.Eng, per).ExecutePathAggQueriesContext(ctx, queries)
-	}
 	type shardOut struct {
 		res  []*query.AggResult
 		errs []error

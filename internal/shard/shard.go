@@ -77,7 +77,7 @@ type Coordinator struct {
 	saveMu sync.Mutex
 
 	// Observability hooks, all nil by default (the disabled scatter path pays
-	// only nil checks). traces is the coordinator-owned ring: with N > 1 a
+	// only nil checks). traces is the coordinator-owned ring: whatever N, a
 	// scatter-gathered query records one hierarchical root trace (fan-out /
 	// queue-wait / merge spans, per-shard engine traces as children); the ring
 	// is also attached to every shard engine so batch sub-queries — executed
@@ -171,10 +171,10 @@ func (c *Coordinator) translateInto(out, local *bitmap.Bitmap, s int) {
 	})
 }
 
-// mergeBitmaps unions per-shard answers into one global-id bitmap. For a
-// single shard local ids are global ids and the answer passes through.
+// mergeBitmaps unions per-shard answers into one global-id bitmap. A single
+// partial's local ids are global ids, so it passes through.
 func (c *Coordinator) mergeBitmaps(subs []*bitmap.Bitmap) *bitmap.Bitmap {
-	if len(c.units) == 1 {
+	if len(subs) == 1 {
 		return subs[0]
 	}
 	out := bitmap.New()
@@ -275,22 +275,22 @@ func (c *Coordinator) Tag(g uint32, key, value string) error {
 	return werr
 }
 
-// TaggedWith returns the global ids of the records tagged key=value. The
-// result is always a fresh bitmap copied under each shard's read lock, so it
-// stays valid after concurrent mutations.
+// TaggedWith returns the global ids of the records tagged key=value. Each
+// shard's column is copied under that shard's read lock and the copies merge
+// outside it, so the result stays valid after concurrent mutations.
 func (c *Coordinator) TaggedWith(key, value string) *bitmap.Bitmap {
-	out := bitmap.New()
+	subs := make([]*bitmap.Bitmap, len(c.units))
 	for i, u := range c.units {
 		u.Rel.BeginRead()
-		b := u.Rel.FetchTagBitmap(key, value)
-		if len(c.units) == 1 {
-			out = out.Or(b)
-		} else {
-			c.translateInto(out, b, i)
-		}
+		subs[i] = u.Rel.FetchTagBitmap(key, value).Clone()
 		u.Rel.EndRead()
 	}
-	return out
+	return c.mergeBitmaps(subs)
+}
+
+// TagValues unions the shard value sets stored under a tag key, sorted.
+func (c *Coordinator) TagValues(key string) []string {
+	return unionSorted(func(u *Unit) []string { return u.Rel.TagValues(key) }, c.units)
 }
 
 // Optimize recompresses every shard's bitmap columns.
@@ -418,7 +418,7 @@ func (c *Coordinator) SetParallelPaths(on bool) {
 func (c *Coordinator) EnableCache(enable bool, capacity int) {
 	n := len(c.units)
 	per := capacity
-	if enable && n > 1 && capacity > 0 {
+	if enable && capacity > 0 {
 		per = (capacity + n - 1) / n
 	}
 	for _, u := range c.units {
@@ -453,10 +453,11 @@ func (c *Coordinator) SetMetrics(m *obs.QueryMetrics) {
 }
 
 // SetTraces attaches a trace ring (nil disables). The coordinator owns it:
-// with N > 1 each scatter-gathered query records one hierarchical root trace
-// whose children are the per-shard engine traces. The ring is also attached
-// to every shard engine, so batch sub-queries (executed whole-batch per
-// shard) record flat traces labelled with their shard id.
+// whatever the shard count, each scatter-gathered query records one
+// hierarchical root trace whose children are the per-shard engine traces.
+// The ring is also attached to every shard engine, so batch sub-queries
+// (executed whole-batch per shard) record flat traces labelled with their
+// shard id.
 func (c *Coordinator) SetTraces(t *obs.TraceRing) {
 	c.traces = t
 	for _, u := range c.units {
@@ -644,12 +645,16 @@ func (c *Coordinator) TagKeys() []string {
 	return unionSorted(func(u *Unit) []string { return u.Rel.TagKeys() }, c.units)
 }
 
+// unionSorted unions get over every shard, each read under that shard's read
+// lock.
 func unionSorted(get func(*Unit) []string, units []*Unit) []string {
 	seen := make(map[string]struct{})
 	for _, u := range units {
+		u.Rel.BeginRead()
 		for _, s := range get(u) {
 			seen[s] = struct{}{}
 		}
+		u.Rel.EndRead()
 	}
 	if len(seen) == 0 {
 		return nil

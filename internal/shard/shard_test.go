@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -177,17 +178,29 @@ func TestScatterOuterCancellation(t *testing.T) {
 	}
 }
 
+// TestScatterRecoversPanics: a panicking shard sub-query surfaces as the
+// same error whatever the shard count — including the inline one-shard path
+// — instead of unwinding the caller.
 func TestScatterRecoversPanics(t *testing.T) {
-	c := New(3, 0)
-	_, err := scatter(context.Background(), c, func(ctx context.Context, s int, u *Unit) (int, error) {
-		if s == 1 {
-			panic("kernel bug")
+	for _, n := range []int{1, 3} {
+		c := New(n, 0)
+		bad := n / 2
+		_, err := scatter(context.Background(), c, func(ctx context.Context, s int, u *Unit) (int, error) {
+			if s == bad {
+				panic("kernel bug")
+			}
+			<-ctx.Done()
+			return 0, ctx.Err()
+		})
+		want := fmt.Sprintf("shard %d: query panicked: kernel bug", bad)
+		if err == nil || err.Error() != want {
+			t.Fatalf("n=%d: err = %v, want %q", n, err, want)
 		}
-		<-ctx.Done()
-		return 0, ctx.Err()
-	})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("err = %v, want recovered panic", err)
+		for i := 0; i < n; i++ {
+			if p := c.Unit(i).Pending(); p != 0 {
+				t.Fatalf("n=%d: shard %d pending = %d after the panic", n, i, p)
+			}
+		}
 	}
 }
 

@@ -237,9 +237,8 @@ func (s *Store) Metrics() *MetricsRegistry {
 		})
 
 	// Scatter-gather phase histograms: one queue-wait series per shard plus
-	// the coordinator's merge latency. Registered eagerly (even for a
-	// single-shard store, where they stay at zero) so dashboards see stable
-	// families across reshards.
+	// the coordinator's merge latency. Every query scatters, a single-shard
+	// one included, so the families are the same across reshards.
 	queueWait := make([]*obs.Histogram, s.coord.NumShards())
 	for i := range queueWait {
 		queueWait[i] = r.Histogram(

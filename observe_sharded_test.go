@@ -3,6 +3,7 @@ package grove
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -11,11 +12,18 @@ import (
 )
 
 // TestShardedTraceTree asserts the shape of a scatter-gathered query's
-// hierarchical trace: one root per logical query, labelled with the
-// coordinator pseudo-shard, with coordinator phase spans in protocol order
-// (fan-out, one queue-wait per shard, merge) and one engine child per shard.
+// hierarchical trace, the same for one shard as for several: one root per
+// logical query, labelled with the coordinator pseudo-shard, with
+// coordinator phase spans in protocol order (fan-out, one queue-wait per
+// shard, merge) and one engine child per shard.
 func TestShardedTraceTree(t *testing.T) {
-	st := NewSharded(4)
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { testTraceTree(t, n) })
+	}
+}
+
+func testTraceTree(t *testing.T, n int) {
+	st := NewSharded(n)
 	loadSCMOrders(t, st)
 	st.EnableTracing(8)
 
@@ -34,14 +42,14 @@ func TestShardedTraceTree(t *testing.T) {
 		t.Error("root trace lost the query text")
 	}
 
-	// Span protocol: fan-out, queue-wait ×4 (labelled 0..3), merge.
-	if len(root.Spans) != 6 {
-		t.Fatalf("root spans = %+v, want fan-out + 4 queue-waits + merge", root.Spans)
+	// Span protocol: fan-out, queue-wait ×n (labelled 0..n-1), merge.
+	if len(root.Spans) != n+2 {
+		t.Fatalf("root spans = %+v, want fan-out + %d queue-waits + merge", root.Spans, n)
 	}
 	if root.Spans[0].Phase != "fan-out" || root.Spans[0].Shard != -1 {
 		t.Errorf("span 0 = %+v, want coordinator fan-out", root.Spans[0])
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < n; i++ {
 		s := root.Spans[1+i]
 		if s.Phase != "queue-wait" || s.Shard != i {
 			t.Errorf("span %d = %+v, want queue-wait on shard %d", 1+i, s, i)
@@ -52,7 +60,7 @@ func TestShardedTraceTree(t *testing.T) {
 		t.Errorf("last span = %+v, want coordinator merge", last)
 	}
 
-	if len(root.Children) != 4 {
+	if len(root.Children) != n {
 		t.Fatalf("children = %d, want one per shard", len(root.Children))
 	}
 	var childIO int64
@@ -74,8 +82,8 @@ func TestShardedTraceTree(t *testing.T) {
 		t.Errorf("root bitmap fetches = %d, children sum to %d", root.IO.BitmapColumnsFetched, childIO)
 	}
 
-	// A sharded statement is parsed once by the coordinator: the root carries
-	// the statement kind and text but no parse span.
+	// A statement is parsed once by the coordinator: the root carries the
+	// statement kind and text, and its first span is the parse.
 	if _, err := st.Query("[A,D] AND NOT [C,H]"); err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +91,22 @@ func TestShardedTraceTree(t *testing.T) {
 	if stmt.Kind != "statement" || stmt.Query != "[A,D] AND NOT [C,H]" {
 		t.Fatalf("statement root = kind %q query %q", stmt.Kind, stmt.Query)
 	}
-	for _, s := range stmt.Spans {
-		if s.Phase == "parse" {
-			t.Errorf("sharded statement root has a parse span: %+v", stmt.Spans)
-		}
+	if len(stmt.Spans) == 0 || stmt.Spans[0].Phase != "parse" || stmt.Spans[0].Shard != -1 {
+		t.Errorf("statement root spans = %+v, want a coordinator parse span first", stmt.Spans)
 	}
-	if len(stmt.Children) != 4 {
+	if len(stmt.Children) != n {
 		t.Errorf("statement children = %d", len(stmt.Children))
+	}
+
+	// The root is Cached exactly when every shard child was a cache hit.
+	st.EnableResultCache(true, 64)
+	for i, want := range []bool{false, true} {
+		if _, err := st.MatchPath("A", "D", "E", "G"); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.RecentTraces()[0].Cached; got != want {
+			t.Errorf("run %d: root Cached = %v, want %v", i, got, want)
+		}
 	}
 
 	st.DisableTracing()
@@ -158,11 +175,18 @@ func TestShardedExplainAnalyzeSumEqualsParts(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLogThroughStore covers the slow-query ring end to end: a
-// threshold-0 log records every query with its per-shard breakdown, the
-// threshold can be retuned live, and /debug/slow serves the entries as JSONL.
+// TestSlowQueryLogThroughStore covers the slow-query ring end to end, the
+// same for one shard as for several: a threshold-0 log records one
+// coordinator entry per query with its per-shard breakdown, the threshold
+// can be retuned live, and /debug/slow serves the entries as JSONL.
 func TestSlowQueryLogThroughStore(t *testing.T) {
-	st := NewSharded(4)
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { testSlowQueryLog(t, n) })
+	}
+}
+
+func testSlowQueryLog(t *testing.T, n int) {
+	st := NewSharded(n)
 	loadSCMOrders(t, st)
 	st.EnableSlowQueryLog(8, 0)
 
@@ -192,8 +216,8 @@ func TestSlowQueryLogThroughStore(t *testing.T) {
 		if e.Query == "" {
 			t.Errorf("entry %d lost its query text", i)
 		}
-		if len(e.Shards) != 4 {
-			t.Errorf("entry %d carries %d shard timings, want 4", i, len(e.Shards))
+		if len(e.Shards) != n {
+			t.Errorf("entry %d carries %d shard timings, want %d", i, len(e.Shards), n)
 		}
 		for s, timing := range e.Shards {
 			if timing.Shard != s {
@@ -260,7 +284,7 @@ func TestSlowQueryLogThroughStore(t *testing.T) {
 		MetricSlowQueries + " 3",
 		MetricScatterMerge + "_count",
 		MetricShardQueueWait + `_count{shard="0"}`,
-		MetricShardQueueWait + `_count{shard="3"}`,
+		MetricShardQueueWait + fmt.Sprintf(`_count{shard="%d"}`, n-1),
 	} {
 		if !strings.Contains(string(mbody), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -273,38 +297,23 @@ func TestSlowQueryLogThroughStore(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLogSingleShard pins the engine-level (unscattered) shape: flat
-// entries labelled with shard 0 and no per-shard breakdown.
-func TestSlowQueryLogSingleShard(t *testing.T) {
-	st := Open()
-	loadSCMOrders(t, st)
-	st.EnableSlowQueryLog(4, 0)
-	if _, err := st.MatchPath("A", "D", "E"); err != nil {
-		t.Fatal(err)
-	}
-	slow := st.SlowQueries()
-	if len(slow) != 1 {
-		t.Fatalf("entries = %d", len(slow))
-	}
-	if slow[0].Shard != 0 || slow[0].Shards != nil {
-		t.Errorf("single-shard entry = %+v, want shard 0 with no breakdown", slow[0])
-	}
-	if slow[0].Kind != "graph" {
-		t.Errorf("kind = %q", slow[0].Kind)
-	}
-}
-
 // TestShardedDisabledObservabilityAddsNoAllocations is the acceptance guard
-// for the disabled path on a sharded store: after tracing and the slow log
-// are switched off, a scattered query must allocate exactly what a
+// for the disabled scatter path, with one shard and with four: after tracing
+// and the slow log are switched off, a query must allocate exactly what a
 // never-instrumented store allocates.
 func TestShardedDisabledObservabilityAddsNoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random 1/4 of Puts under the race detector, so allocation counts are nondeterministic")
 	}
-	base := NewSharded(4)
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { testDisabledObservabilityAllocs(t, n) })
+	}
+}
+
+func testDisabledObservabilityAllocs(t *testing.T, n int) {
+	base := NewSharded(n)
 	loadSCMOrders(t, base)
-	inst := NewSharded(4)
+	inst := NewSharded(n)
 	loadSCMOrders(t, inst)
 	inst.EnableTracing(4)
 	inst.EnableSlowQueryLog(4, 0)

@@ -181,6 +181,66 @@ func TestShardedPublicDifferential(t *testing.T) {
 	}
 }
 
+// TestShardedPublicDifferentialTags tags six records kind=even/odd
+// alternately and demands the same tag groups from SummarizeByTag and the
+// same exported tags from ExportTraces whatever the shard count: both must
+// read every shard's tag columns and translate local ids to global ones.
+func TestShardedPublicDifferentialTags(t *testing.T) {
+	for _, n := range []int{1, 2, 3} {
+		st := NewSharded(n)
+		for i := 0; i < 6; i++ {
+			rec := NewRecord()
+			if err := rec.SetEdge("A", "B", float64(i)); err != nil {
+				t.Fatal(err)
+			}
+			id := st.Add(rec)
+			kind := "even"
+			if id%2 == 1 {
+				kind = "odd"
+			}
+			if err := st.Tag(id, "kind", kind); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		res, err := st.AggregatePath(Sum, "A", "B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, err := st.SummarizeByTag(res, "kind")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) != 2 {
+			t.Errorf("n=%d: groups = %+v, want even and odd only", n, groups)
+		}
+		if g := groups["even"]; g.Count != 3 || g.Sum != 0+2+4 {
+			t.Errorf("n=%d: even group = %+v, want records 0, 2, 4", n, g)
+		}
+		if g := groups["odd"]; g.Count != 3 || g.Sum != 1+3+5 {
+			t.Errorf("n=%d: odd group = %+v, want records 1, 3, 5", n, g)
+		}
+
+		var buf strings.Builder
+		if _, err := st.ExportTraces(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		if len(lines) != 6 {
+			t.Fatalf("n=%d: exported %d records, want 6", n, len(lines))
+		}
+		for id, line := range lines {
+			want := `"tags":{"kind":"even"}`
+			if id%2 == 1 {
+				want = `"tags":{"kind":"odd"}`
+			}
+			if !strings.Contains(line, want) {
+				t.Errorf("n=%d: record %d exported as %s, want %s", n, id, line, want)
+			}
+		}
+	}
+}
+
 // TestShardedStatsAggregation is the satellite-4 regression: Stats and
 // SizeBytes must aggregate across every shard, not report shard 0 alone.
 func TestShardedStatsAggregation(t *testing.T) {

@@ -129,18 +129,18 @@ func (s *Store) ImportTraces(r io.Reader) (int, error) {
 func (s *Store) ExportTraces(w io.Writer) (int, error) {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	// Fetch every tag bitmap once up front instead of once per record: the
-	// per-record membership test is then a bitmap Contains, turning
-	// O(records × tags) column fetches into O(tags).
+	// Fetch every tag bitmap (global ids, across all shards) once up front
+	// instead of once per record: the per-record membership test is then a
+	// bitmap Contains, turning O(records × tags) column fetches into O(tags).
 	type tagBitmap struct {
 		key, value string
 		bits       *Bitmap
 	}
 	var tags []tagBitmap
-	for _, key := range s.rel.TagKeys() {
-		for _, value := range s.rel.TagValues(key) {
+	for _, key := range s.coord.TagKeys() {
+		for _, value := range s.coord.TagValues(key) {
 			tags = append(tags, tagBitmap{key: key, value: value,
-				bits: s.rel.FetchTagBitmap(key, value)})
+				bits: s.coord.TaggedWith(key, value)})
 		}
 	}
 	for id := uint32(0); int(id) < s.NumRecords(); id++ {
