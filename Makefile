@@ -115,14 +115,16 @@ wal-diff:
 	$(GO) test ./internal/wal/ -count=1
 	$(GO) test ./internal/colstore/ -run 'TestSaveFaultSweepSnapshotGC' -v
 
-# The full gate CI runs: vet, lint, build, tests, the durability sweep, then
-# the race-detector pass (which re-vets; harmless and keeps `make race`
-# self-contained).
+# The full gate CI runs: vet, lint, build, tests — the root module's and the
+# ledger's (ledger/ is its own module, which the root ./... skips, built
+# against this checkout) — the durability sweep, then the race-detector pass
+# (which re-vets; harmless and keeps `make race` self-contained).
 check:
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) build ./...
 	$(GO) test ./...
+	cd ledger && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) bench-smoke
 	$(MAKE) replay-smoke
 	$(MAKE) durability

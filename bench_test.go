@@ -9,6 +9,7 @@
 package grove_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -207,7 +208,7 @@ func BenchmarkFig6_GraphViews(b *testing.B) {
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, qg := range queries {
-				res, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+				res, err := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -236,7 +237,7 @@ func BenchmarkFig7_AggViews(b *testing.B) {
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, qg := range queries {
-				if _, err := eng.ExecutePathAggQuery(query.NewPathAggQuery(qg, query.Sum)); err != nil {
+				if _, err := eng.ExecutePathAggQueryContext(context.Background(), query.NewPathAggQuery(qg, query.Sum)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -263,7 +264,7 @@ func BenchmarkFig8_Zipf(b *testing.B) {
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, qg := range queries {
-				res, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+				res, err := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -345,7 +346,7 @@ func BenchmarkFig11_GIndexAgg(b *testing.B) {
 	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, qg := range queries {
-				if _, err := eng.ExecutePathAggQuery(query.NewPathAggQuery(qg, query.Sum)); err != nil {
+				if _, err := eng.ExecutePathAggQueryContext(context.Background(), query.NewPathAggQuery(qg, query.Sum)); err != nil {
 					b.Fatal(err)
 				}
 			}

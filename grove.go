@@ -647,7 +647,7 @@ type Explanation = query.Explanation
 // Explain computes the execution plan (rewriting outcome, bitmap cost,
 // partition span) for a graph query without executing it.
 func (s *Store) Explain(g *Graph) (Explanation, error) {
-	return s.eng.ExplainGraph(g)
+	return s.eng.Explain(query.NewGraphQuery(g))
 }
 
 // QueryResult is the answer of a textual Query: exactly one of IDs (boolean

@@ -13,6 +13,13 @@ var errWrongAnswer = errors.New("wrong answer under concurrency")
 func buildSCMStore(t *testing.T) *Store {
 	t.Helper()
 	st := Open()
+	loadSCMRecords(t, st)
+	return st
+}
+
+// loadSCMRecords adds buildSCMStore's three orders to st and optimizes it.
+func loadSCMRecords(t *testing.T, st *Store) {
+	t.Helper()
 	// Order 1: A→D→E→G→I, 2h per leg.
 	// Order 2: A→B→F→J→K plus C→H→K.
 	// Order 3: A→D→E→G→K, slower legs.
@@ -34,7 +41,6 @@ func buildSCMStore(t *testing.T) *Store {
 		st.Add(rec)
 	}
 	st.Optimize()
-	return st
 }
 
 func TestStoreBasics(t *testing.T) {

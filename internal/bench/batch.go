@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -14,7 +16,7 @@ func sequentialGraphWorkload(eng *query.Engine, queries []*query.GraphQuery) ([]
 	results := make([]*query.Result, len(queries))
 	start := time.Now()
 	for i, q := range queries {
-		res, err := eng.ExecuteGraphQuery(q)
+		res, err := eng.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -27,8 +29,8 @@ func sequentialGraphWorkload(eng *query.Engine, queries []*query.GraphQuery) ([]
 func parallelGraphWorkload(eng *query.Engine, queries []*query.GraphQuery, workers int) ([]*query.Result, time.Duration, error) {
 	be := query.NewBatchExecutor(eng, workers)
 	start := time.Now()
-	results, err := be.ExecuteGraphQueries(queries)
-	return results, time.Since(start), err
+	results, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	return results, time.Since(start), errors.Join(errs...)
 }
 
 // ExpBatch measures the tentpole: batch query execution across a worker pool

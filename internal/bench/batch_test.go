@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -28,7 +30,8 @@ func benchmarkBatch(b *testing.B, workers int) {
 	be := query.NewBatchExecutor(eng, workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := be.ExecuteGraphQueries(queries); err != nil {
+		_, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+		if err := errors.Join(errs...); err != nil {
 			b.Fatal(err)
 		}
 	}

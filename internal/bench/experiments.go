@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -235,7 +236,7 @@ func buildGNU(sc Scale, keep bool) (*workload.Dataset, error) {
 func timedGraphWorkload(eng *query.Engine, queries []*graph.Graph) (structural, fetch time.Duration, err error) {
 	for _, qg := range queries {
 		s0 := time.Now()
-		res, e := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+		res, e := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg))
 		if e != nil {
 			return 0, 0, e
 		}
@@ -252,7 +253,7 @@ func timedGraphWorkload(eng *query.Engine, queries []*graph.Graph) (structural, 
 func timedAggWorkload(eng *query.Engine, queries []*graph.Graph) (structural, measure time.Duration, err error) {
 	for _, qg := range queries {
 		t0 := time.Now()
-		res, e := eng.ExecutePathAggQuery(query.NewPathAggQuery(qg, query.Sum))
+		res, e := eng.ExecutePathAggQueryContext(context.Background(), query.NewPathAggQuery(qg, query.Sum))
 		if e != nil {
 			return 0, 0, e
 		}
@@ -260,7 +261,7 @@ func timedAggWorkload(eng *query.Engine, queries []*graph.Graph) (structural, me
 		// Attribute time in proportion to the work split: the structural
 		// part is re-run in isolation for an exact split.
 		s0 := time.Now()
-		if _, e := eng.ExecuteGraphQuery(query.NewGraphQuery(qg)); e != nil {
+		if _, e := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg)); e != nil {
 			return 0, 0, e
 		}
 		s := time.Since(s0)

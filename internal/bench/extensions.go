@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -30,7 +31,7 @@ func ExtCluster(sc Scale) (*Table, error) {
 		run := func() (int64, error) {
 			ds.Rel.Tracker().Reset()
 			for _, qg := range queries {
-				res, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+				res, err := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg))
 				if err != nil {
 					return 0, err
 				}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -42,7 +43,7 @@ func newGIndexSetup(sc Scale, pathOnly bool) (*gIndexSetup, error) {
 	eng := query.NewEngine(ds.Rel, ds.Reg)
 	answering := make(map[uint32]struct{})
 	for _, qg := range queries {
-		res, err := eng.ExecuteGraphQuery(query.NewGraphQuery(qg))
+		res, err := eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(qg))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"grove/internal/graph"
@@ -40,7 +41,7 @@ func (c *columnSystem) RunQuery(elements []graph.EdgeKey) int {
 	for _, k := range elements {
 		g.AddElement(k)
 	}
-	res, err := c.eng.ExecuteGraphQuery(query.NewGraphQuery(g))
+	res, err := c.eng.ExecuteGraphQueryContext(context.Background(), query.NewGraphQuery(g))
 	if err != nil {
 		return 0
 	}

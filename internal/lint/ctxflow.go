@@ -15,9 +15,9 @@ import (
 //     cancellation.
 //
 //  2. A context-carrying function must use the context-aware variant of a
-//     callee when one exists: calling Engine.ExecuteGraphQuery(q) where
-//     ExecuteGraphQueryContext(ctx, q) is declared silently drops ctx on the
-//     floor even though no Background() appears at the call site.
+//     callee when one exists: calling Store.Match(g) where
+//     MatchContext(ctx, g) is declared silently drops ctx on the floor even
+//     though no Background() appears at the call site.
 //
 //  3. context.Background()/TODO() are banned in library code reachable from
 //     the *Context API facades (any function whose name ends in "Context"

@@ -11,9 +11,9 @@ const (
 	MetricBatchWorkersBusy  = "grove_batch_workers_busy"
 )
 
-// QueryMetrics is the bundle of engine-side metrics the query package
-// records on its hot paths. All fields are plain atomics; recording is
-// allocation-free.
+// QueryMetrics is the bundle of query metrics the layer that received a
+// query records on its hot path (Observation.Finish, RecordBatch). All
+// fields are plain atomics; recording is allocation-free.
 type QueryMetrics struct {
 	GraphQueries     *Counter
 	PathAggQueries   *Counter
@@ -81,5 +81,21 @@ func (m *QueryMetrics) Record(kind string, d time.Duration) {
 	case KindStatement:
 		m.StatementQueries.Inc()
 		m.StatementLatency.Observe(secs)
+	}
+}
+
+// RecordBatch counts one batch of len(errs) queries of the given kind and
+// records every member that succeeded with its latency durs[i]. An empty
+// batch counts nothing.
+func (m *QueryMetrics) RecordBatch(kind string, durs []time.Duration, errs []error) {
+	if m == nil || len(errs) == 0 {
+		return
+	}
+	m.BatchBatches.Inc()
+	m.BatchQueries.Add(int64(len(errs)))
+	for i, err := range errs {
+		if err == nil {
+			m.Record(kind, durs[i])
+		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"grove/internal/bitmap"
-	"grove/internal/graph"
 	"grove/internal/obs"
 )
 
@@ -18,46 +16,21 @@ type StatementResult struct {
 	Agg *AggResult
 }
 
-// ExecuteStatement parses and executes one statement of the text query
-// language as a single traced unit: the trace covers parsing too (the
+// ExecuteStatementContext parses and executes one statement of the text
+// query language as a single traced unit: the trace covers parsing too (the
 // "parse" phase), and the statement is metered under the "statement" kind
-// rather than as a bare expression or aggregation.
-func (e *Engine) ExecuteStatement(text string) (*StatementResult, error) {
-	return e.ExecuteStatementContext(context.Background(), text)
-}
-
-// ExecuteStatementContext is ExecuteStatement with cancellation, checked
-// between column fetches and per-path aggregation chunks.
+// rather than as a bare expression or aggregation. ctx is checked between
+// column fetches and per-path aggregation chunks.
 func (e *Engine) ExecuteStatementContext(ctx context.Context, text string) (*StatementResult, error) {
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindStatement, text, e.ioNow())
-		tr.SetShard(e.shardID)
-	}
-	res, err := e.executeStatement(ctx, text, tr)
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindStatement, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindStatement, text, start, slowIO, false, err)
-	}
+	o := obs.Start(e.hooks, e, obs.KindStatement, text, e.shardID)
+	res, err := e.executeStatement(ctx, text, o.Root)
+	o.Finish(false, nil, err)
 	return res, err
 }
 
 func (e *Engine) executeStatement(ctx context.Context, text string, tr *obs.ActiveTrace) (*StatementResult, error) {
 	if tr != nil {
-		tr.Begin(obs.PhaseParse, e.ioNow())
+		tr.Begin(obs.PhaseParse, e.IONow())
 	}
 	stmt, err := Parse(text)
 	if err != nil {
@@ -133,20 +106,12 @@ func (e *Engine) ExplainAnalyze(q *GraphQuery) (*ExplainAnalysis, error) {
 	}
 	run := e.Clone()
 	run.cache = nil
-	run.metrics = nil
-	run.slow = nil
 	ring := obs.NewTraceRing(1)
-	run.traces = ring
-	res, err := run.ExecuteGraphQuery(q)
+	run.hooks = obs.Hooks{Traces: ring}
+	res, err := run.ExecuteGraphQueryContext(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}
 	return &ExplainAnalysis{Plan: plan, Trace: ring.Recent()[0],
 		Records: res.NumRecords(), Answer: res.Answer}, nil
-}
-
-// ExplainAnalyzeGraph is a convenience wrapper over ExplainAnalyze for a
-// bare graph.
-func (e *Engine) ExplainAnalyzeGraph(g *graph.Graph) (*ExplainAnalysis, error) {
-	return e.ExplainAnalyze(NewGraphQuery(g))
 }

@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"grove/internal/obs"
 )
 
 // BatchExecutor fans a slice of queries across a bounded worker pool. The
@@ -16,13 +19,11 @@ import (
 // result cache; private scratch).
 //
 // Results are deterministic: result slot i always holds the answer of query
-// i, whichever worker computed it. The Context variants return one error
-// slot per query; the non-Context wrappers collapse that to the error of
-// the lowest-index failing query — identical to what a sequential run would
-// report. A query that panics (a malformed plan, a kernel bug) surfaces as
-// that query's error, not as a crashed batch, and a cancelled context fails
-// the not-yet-started queries promptly with the context's error while
-// queries already running finish their current cancellation check.
+// i, whichever worker computed it, and error slot i its error. A query that
+// panics (a malformed plan, a kernel bug) surfaces as that query's error,
+// not as a crashed batch, and a cancelled context fails the not-yet-started
+// queries promptly with the context's error while queries already running
+// finish their current cancellation check.
 type BatchExecutor struct {
 	eng     *Engine
 	workers int
@@ -40,102 +41,58 @@ func NewBatchExecutor(eng *Engine, workers int) *BatchExecutor {
 // Workers returns the configured worker-pool size.
 func (b *BatchExecutor) Workers() int { return b.workers }
 
-// ExecuteGraphQueries runs every query and returns the results in query
-// order. A single worker (or a single query) degrades to a plain sequential
-// loop with no goroutine or synchronization overhead.
-func (b *BatchExecutor) ExecuteGraphQueries(queries []*GraphQuery) ([]*Result, error) {
-	results, errs := b.ExecuteGraphQueriesContext(context.Background(), queries)
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // ExecuteGraphQueriesContext runs every query under ctx and returns the
 // results and one error slot per query (nil on success). Queries not yet
 // started when ctx is cancelled fail with ctx's error; a panicking query
-// fails alone while the rest of the batch completes.
+// fails alone while the rest of the batch completes. The executor is the
+// layer that received the batch, so it counts the batch and each member
+// once.
 func (b *BatchExecutor) ExecuteGraphQueriesContext(ctx context.Context, queries []*GraphQuery) ([]*Result, []error) {
-	results := make([]*Result, len(queries))
-	errs := b.run(ctx, len(queries), func(eng *Engine, i int) error {
-		res, err := eng.ExecuteGraphQueryContext(ctx, queries[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	return results, errs
-}
-
-// ExecutePathAggQueries runs every path-aggregation query and returns the
-// results in query order.
-func (b *BatchExecutor) ExecutePathAggQueries(queries []*PathAggQuery) ([]*AggResult, error) {
-	results, errs := b.ExecutePathAggQueriesContext(context.Background(), queries)
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return observedBatch(ctx, b, obs.KindGraph, queries, (*Engine).ExecuteGraphQueryContext)
 }
 
 // ExecutePathAggQueriesContext is ExecuteGraphQueriesContext for
 // path-aggregation queries.
 func (b *BatchExecutor) ExecutePathAggQueriesContext(ctx context.Context, queries []*PathAggQuery) ([]*AggResult, []error) {
-	results := make([]*AggResult, len(queries))
-	errs := b.run(ctx, len(queries), func(eng *Engine, i int) error {
-		res, err := eng.ExecutePathAggQueryContext(ctx, queries[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
+	return observedBatch(ctx, b, obs.KindPathAgg, queries, (*Engine).ExecutePathAggQueryContext)
+}
+
+func observedBatch[Q, R any](ctx context.Context, b *BatchExecutor, kind string, queries []Q,
+	exec func(*Engine, context.Context, Q) (R, error)) ([]R, []error) {
+	results, errs, durs := Batch(ctx, b, queries, exec)
+	b.eng.hooks.Metrics.RecordBatch(kind, durs, errs)
 	return results, errs
 }
 
-// firstError collapses per-query errors to the lowest-index failure,
-// wrapped with its query index — what a sequential run would report first.
-func firstError(errs []error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// run executes fn(engine, i) for i in [0, n) across the worker pool and
-// returns one error slot per query. Work is distributed by an atomic
-// cursor, so fast workers take more queries and stragglers never gate the
-// batch; each worker keeps one engine clone (and thereby one scratch) for
-// its whole share. Once ctx is cancelled, remaining indexes drain
-// immediately with ctx's error.
-func (b *BatchExecutor) run(ctx context.Context, n int, fn func(eng *Engine, i int) error) []error {
+// Batch runs exec over every query across b's worker pool and returns the
+// results in query order, one error slot per query and each query's
+// execution time (measured only when the engine carries metrics, zero
+// otherwise). Work is distributed by an atomic cursor, so fast workers take
+// more queries and stragglers never gate the batch; each worker keeps one
+// engine clone (and thereby one scratch) for its whole share. A single
+// worker runs the batch on the caller's goroutine.
+//
+// Batch observes the pool (the busy-workers gauge) but counts no query: its
+// workers run with the metrics detached, and the layer that received the
+// batch records it once with QueryMetrics.RecordBatch — the executor's own
+// Execute*QueriesContext, or a coordinator merging per-shard batches.
+func Batch[Q, R any](ctx context.Context, b *BatchExecutor, queries []Q,
+	exec func(*Engine, context.Context, Q) (R, error)) ([]R, []error, []time.Duration) {
+	n := len(queries)
 	if n == 0 {
-		return nil
+		return nil, nil, nil
 	}
-	if m := b.eng.metrics; m != nil {
-		m.BatchBatches.Inc()
-		m.BatchQueries.Add(int64(n))
-	}
+	results := make([]R, n)
 	errs := make([]error, n)
-	workers := b.workers
-	if workers > n {
-		workers = n
-	}
+	durs := make([]time.Duration, n)
+	m := b.eng.hooks.Metrics
+	workers := min(b.workers, n)
 	if workers <= 1 {
-		if m := b.eng.metrics; m != nil {
-			m.BatchWorkersBusy.Add(1)
-			defer m.BatchWorkersBusy.Add(-1)
+		eng := b.worker()
+		for i, q := range queries {
+			results[i], durs[i], errs[i] = runOne(ctx, eng, m, q, exec)
 		}
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			errs[i] = safeCall(b.eng, i, fn)
-		}
-		return errs
+		return results, errs, durs
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -143,37 +100,54 @@ func (b *BatchExecutor) run(ctx context.Context, n int, fn func(eng *Engine, i i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := b.eng.Clone()
-			if eng.metrics != nil {
-				eng.metrics.BatchWorkersBusy.Add(1)
-				defer eng.metrics.BatchWorkersBusy.Add(-1)
-			}
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = safeCall(eng, i, fn)
+			eng := b.worker()
+			for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+				results[i], durs[i], errs[i] = runOne(ctx, eng, m, queries[i], exec)
 			}
 		}()
 	}
 	wg.Wait()
-	return errs
+	return results, errs, durs
 }
 
-// safeCall runs one query, converting a panic into that query's error so a
-// single bad query cannot take down the whole batch (or leak a worker's
-// goroutine). The engine's locked sections release their read locks via
-// defer, so the relation stays usable after a recovered panic.
-func safeCall(eng *Engine, i int, fn func(eng *Engine, i int) error) (err error) {
+// worker returns the engine one pool worker runs its queries on: a clone
+// with its own scratch and the metrics detached, so the members are counted
+// only by the batch's receiver.
+func (b *BatchExecutor) worker() *Engine {
+	eng := b.eng.Clone()
+	eng.hooks.Metrics = nil
+	return eng
+}
+
+// runOne runs one batch member. Once ctx is cancelled it fails at once with
+// ctx's error; a panic becomes the query's error, so a single bad query
+// cannot take down the whole batch (or leak a worker's goroutine) — the
+// engine's locked sections release their read locks via defer, so the
+// relation stays usable after a recovered panic. With metrics attached the
+// worker counts as busy while the query runs, and its execution time is
+// returned.
+func runOne[Q, R any](ctx context.Context, eng *Engine, m *obs.QueryMetrics, q Q,
+	exec func(*Engine, context.Context, Q) (R, error)) (res R, d time.Duration, err error) {
+	if err := ctx.Err(); err != nil {
+		return res, 0, err
+	}
+	if m != nil {
+		m.BatchWorkersBusy.Add(1)
+		start := time.Now()
+		defer func() {
+			d = time.Since(start)
+			m.BatchWorkersBusy.Add(-1)
+		}()
+	}
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("query panicked: %v", p)
+			var zero R
+			res, err = zero, fmt.Errorf("query panicked: %v", p)
 		}
 	}()
-	return fn(eng, i)
+	if res, err = exec(eng, ctx, q); err != nil {
+		var zero R
+		return zero, 0, err
+	}
+	return res, 0, nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -19,6 +20,16 @@ func batchFixtureQueries(f *randFixture, rng *rand.Rand, n int) []*GraphQuery {
 	return queries
 }
 
+// noBatchErrors fails the test on the first non-nil error slot.
+func noBatchErrors(t *testing.T, errs []error) {
+	t.Helper()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+}
+
 // TestBatchMatchesSequential pins the tentpole correctness contract: the
 // parallel batch returns bit-for-bit the answers of a sequential run, in
 // query order, across worker counts.
@@ -29,7 +40,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 	want := make([]*Result, len(queries))
 	for i, q := range queries {
-		res, err := f.eng.ExecuteGraphQuery(q)
+		res, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,10 +49,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		be := NewBatchExecutor(f.eng, workers)
-		got, err := be.ExecuteGraphQueries(queries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+		noBatchErrors(t, errs)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}
@@ -67,14 +76,10 @@ func TestBatchWithSharedCache(t *testing.T) {
 	f.eng.EnableCache(cache)
 
 	be := NewBatchExecutor(f.eng, 4)
-	first, err := be.ExecuteGraphQueries(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := be.ExecuteGraphQueries(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	noBatchErrors(t, errs)
+	second, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	noBatchErrors(t, errs)
 	hits := cache.Stats().Hits
 	if hits == 0 {
 		t.Error("shared cache saw no hits on an identical batch rerun")
@@ -105,17 +110,15 @@ func TestBatchAggMatchesSequential(t *testing.T) {
 	}
 	want := make([]*AggResult, len(queries))
 	for i, q := range queries {
-		res, err := f.eng.ExecutePathAggQuery(q)
+		res, err := f.eng.ExecutePathAggQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = res
 	}
 	be := NewBatchExecutor(f.eng, 4)
-	got, err := be.ExecutePathAggQueries(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, errs := be.ExecutePathAggQueriesContext(context.Background(), queries)
+	noBatchErrors(t, errs)
 	for i := range got {
 		if !got[i].Answer.Equals(want[i].Answer) {
 			t.Fatalf("query %d: answer differs", i)
@@ -131,8 +134,10 @@ func TestBatchAggMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchErrorLowestIndex pins the error contract: the reported failure is
-// the lowest-index failing query, as in a sequential run.
+// TestBatchErrorLowestIndex pins the error contract: every failing query's
+// slot holds exactly the error a sequential run reports for it and every
+// other slot is nil, so the lowest-index failure is the one a sequential run
+// meets first.
 func TestBatchErrorLowestIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	f := newRandomFixture(t, rng, 50)
@@ -141,21 +146,19 @@ func TestBatchErrorLowestIndex(t *testing.T) {
 	queries[13] = &GraphQuery{G: graph.NewGraph()}
 
 	be := NewBatchExecutor(f.eng, 4)
-	_, err := be.ExecuteGraphQueries(queries)
-	if err == nil {
-		t.Fatal("batch with invalid queries did not fail")
-	}
-	var seqErr error
+	_, errs := be.ExecuteGraphQueriesContext(context.Background(), queries)
+	first := -1
 	for i, q := range queries {
-		if _, e := f.eng.ExecuteGraphQuery(q); e != nil {
-			seqErr = e
-			_ = i
-			break
+		_, seqErr := f.eng.ExecuteGraphQueryContext(context.Background(), q)
+		if (seqErr == nil) != (errs[i] == nil) || (seqErr != nil && errs[i].Error() != seqErr.Error()) {
+			t.Fatalf("query %d: batch error %v, sequential %v", i, errs[i], seqErr)
+		}
+		if errs[i] != nil && first < 0 {
+			first = i
 		}
 	}
-	want := "query 7: " + seqErr.Error()
-	if err.Error() != want {
-		t.Fatalf("batch error %q, want %q", err, want)
+	if first != 7 {
+		t.Fatalf("lowest failing query = %d, want 7", first)
 	}
 }
 
@@ -216,7 +219,7 @@ func TestConcurrentQueriesWithWriter(t *testing.T) {
 			qrng := rand.New(rand.NewSource(seed))
 			for round := 0; round < 50; round++ {
 				q := queries[qrng.Intn(len(queries))]
-				res, err := eng.ExecuteGraphQuery(q)
+				res, err := eng.ExecuteGraphQueryContext(context.Background(), q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -236,11 +239,11 @@ func TestConcurrentQueriesWithWriter(t *testing.T) {
 	// state: a fresh no-cache engine must agree with a cached rerun.
 	fresh := NewEngine(f.rel, f.reg)
 	for _, q := range queries[:10] {
-		cached, err := f.eng.ExecuteGraphQuery(q)
+		cached, err := f.eng.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := fresh.ExecuteGraphQuery(q)
+		plain, err := fresh.ExecuteGraphQueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,13 +2,11 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"grove/internal/agg"
 	"grove/internal/bitmap"
@@ -43,17 +41,15 @@ type Engine struct {
 	// (invalidated wholesale on any relation mutation).
 	cache *ResultCache
 
-	// metrics, when set, records per-query counters and latency histograms
-	// (allocation-free). traces, when set, records a span-based lifecycle
-	// trace per query into the ring (one allocation per query plus span
-	// appends). slow, when set, records queries over its latency threshold
-	// into a bounded structured log (sub-threshold queries pay one clock read
-	// and an atomic load). All default to nil: the disabled path costs three
-	// nil checks and nothing else. Set them before serving queries (like
+	// hooks observe every query the engine receives (obs.Start/Finish): the
+	// metrics bundle records per-query counters and latency histograms
+	// (allocation-free), the trace ring a span-based lifecycle trace per query
+	// (one allocation per query plus span appends), the slow log queries over
+	// its latency threshold (sub-threshold queries pay one clock read and an
+	// atomic load). All default to nil: the disabled path costs three nil
+	// checks and nothing else. Set them before serving queries (like
 	// EnableCache, mutating mid-flight is not synchronized).
-	metrics *obs.QueryMetrics
-	traces  *obs.TraceRing
-	slow    *obs.SlowLog
+	hooks obs.Hooks
 
 	// shardID labels this engine's traces and slow-log entries with the
 	// shard it executes (0 for a single-relation store).
@@ -75,28 +71,27 @@ func NewEngine(rel *colstore.Relation, reg *graph.Registry) *Engine {
 // from another goroutine concurrently with e.
 func (e *Engine) Clone() *Engine {
 	return &Engine{Rel: e.Rel, Reg: e.Reg, UseViews: e.UseViews,
-		ParallelPaths: e.ParallelPaths, cache: e.cache,
-		metrics: e.metrics, traces: e.traces, slow: e.slow,
+		ParallelPaths: e.ParallelPaths, cache: e.cache, hooks: e.hooks,
 		shardID: e.shardID}
 }
 
 // SetMetrics attaches a metrics bundle (nil disables). Attach before
 // serving queries.
-func (e *Engine) SetMetrics(m *obs.QueryMetrics) { e.metrics = m }
+func (e *Engine) SetMetrics(m *obs.QueryMetrics) { e.hooks.Metrics = m }
 
 // SetTraces attaches a trace ring recording one lifecycle trace per query
 // (nil disables). Attach before serving queries.
-func (e *Engine) SetTraces(t *obs.TraceRing) { e.traces = t }
+func (e *Engine) SetTraces(t *obs.TraceRing) { e.hooks.Traces = t }
 
 // Traces returns the attached trace ring (nil when tracing is disabled).
-func (e *Engine) Traces() *obs.TraceRing { return e.traces }
+func (e *Engine) Traces() *obs.TraceRing { return e.hooks.Traces }
 
 // SetSlowLog attaches a slow-query log (nil disables). Attach before serving
 // queries. Batch workers inherit it through Clone.
-func (e *Engine) SetSlowLog(l *obs.SlowLog) { e.slow = l }
+func (e *Engine) SetSlowLog(l *obs.SlowLog) { e.hooks.Slow = l }
 
 // SlowLog returns the attached slow-query log (nil when disabled).
-func (e *Engine) SlowLog() *obs.SlowLog { return e.slow }
+func (e *Engine) SlowLog() *obs.SlowLog { return e.hooks.Slow }
 
 // SetShard labels the engine with the shard index it executes, stamped onto
 // every trace and slow-log entry it emits.
@@ -105,38 +100,15 @@ func (e *Engine) SetShard(id int) { e.shardID = id }
 // Shard returns the engine's shard index.
 func (e *Engine) Shard() int { return e.shardID }
 
-// slowObserve appends a slow-log entry when the finished query crossed the
-// log's latency threshold. startIO is the tracker snapshot taken at query
-// start (exact only single-threaded, like trace I/O deltas).
-func (e *Engine) slowObserve(kind, qstr string, start time.Time, startIO obs.IODelta, cached bool, err error) {
-	d := time.Since(start)
-	if d < e.slow.Threshold() {
-		return
-	}
-	sq := obs.SlowQuery{
-		Kind:           kind,
-		Query:          qstr,
-		Shard:          e.shardID,
-		StartUnixNanos: start.UnixNano(),
-		DurationNanos:  d.Nanoseconds(),
-		Cached:         cached,
-		IO:             e.ioNow().Sub(startIO),
-	}
-	if err != nil {
-		sq.Error = err.Error()
-		sq.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	}
-	e.slow.Add(sq)
-}
-
 // Cache returns the attached result cache (nil when caching is disabled).
 func (e *Engine) Cache() *ResultCache { return e.cache }
 
-// ioNow converts the relation tracker's cumulative counters into the obs
-// package's I/O shape. Only called on traced paths: six atomic loads.
+// IONow converts the relation tracker's cumulative counters into the obs
+// package's I/O shape (the engine's obs.IOSource). Only called on observed
+// paths: six atomic loads.
 //
 //grove:hotpath
-func (e *Engine) ioNow() obs.IODelta {
+func (e *Engine) IONow() obs.IODelta {
 	s := e.Rel.Tracker().Snapshot()
 	return obs.IODelta{
 		BitmapColumnsFetched:  int64(s.BitmapColumnsFetched),
@@ -158,7 +130,7 @@ func (e *Engine) ioNow() obs.IODelta {
 func (e *Engine) checkCtx(ctx context.Context, tr *obs.ActiveTrace) error {
 	if err := ctx.Err(); err != nil {
 		if tr != nil {
-			tr.Begin(obs.PhaseCancelled, e.ioNow())
+			tr.Begin(obs.PhaseCancelled, e.IONow())
 		}
 		return err
 	}
@@ -212,55 +184,30 @@ func (r *Result) FromCache() bool { return r.cached }
 // NumRecords returns the answer cardinality.
 func (r *Result) NumRecords() int { return r.Answer.Cardinality() }
 
-// ExecuteGraphQuery evaluates the structural part of a graph query:
+// ExecuteGraphQueryContext evaluates the structural part of a graph query:
 // plan (greedy rewrite when UseViews), fetch the planned bitmap columns, AND
 // them (§4.2). The relation's read lock is held for the whole query, so the
 // answer — and any cache entry made from it — is consistent with a single
-// relation version even while writers run concurrently.
-func (e *Engine) ExecuteGraphQuery(q *GraphQuery) (*Result, error) {
-	return e.ExecuteGraphQueryContext(context.Background(), q)
-}
-
-// ExecuteGraphQueryContext is ExecuteGraphQuery with cancellation: the
-// engine checks ctx between bitmap fetches and abandons the query with
-// ctx's error once it is cancelled, recording a "cancelled" span on the
-// trace. The read lock is released on every exit path, including a panic
-// in a kernel (batch workers recover those).
+// relation version even while writers run concurrently. The engine checks
+// ctx between bitmap fetches and abandons the query with ctx's error once it
+// is cancelled, recording a "cancelled" span on the trace. The read lock is
+// released on every exit path, including a panic in a kernel (batch workers
+// recover those).
 func (e *Engine) ExecuteGraphQueryContext(ctx context.Context, q *GraphQuery) (*Result, error) {
 	if q == nil || q.G == nil || q.G.NumElements() == 0 {
 		return nil, fmt.Errorf("query: empty graph query")
 	}
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindGraph, q.String(), e.ioNow())
-		tr.SetShard(e.shardID)
-	}
+	o := obs.Start(e.hooks, e, obs.KindGraph, e.hooks.Name(q), e.shardID)
 	res, err := func() (*Result, error) {
 		e.Rel.BeginRead()
 		defer e.Rel.EndRead()
-		return e.executeGraphQueryLocked(ctx, q, tr)
+		return e.executeGraphQueryLocked(ctx, q, o.Root)
 	}()
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindGraph, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindGraph, q.String(), start, slowIO, res != nil && res.cached, err)
-	}
+	o.Finish(res != nil && res.cached, nil, err)
 	return res, err
 }
 
-// executeGraphQueryLocked is ExecuteGraphQuery with the relation read lock
+// executeGraphQueryLocked is ExecuteGraphQueryContext with the relation read lock
 // already held (BeginRead is not reentrant, so compound executions — path
 // aggregation, boolean expressions — route through this). tr, when non-nil,
 // receives the plan/fetch/intersect lifecycle spans.
@@ -273,7 +220,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 	var key string
 	if e.cache != nil {
 		if tr != nil {
-			tr.Begin(obs.PhaseCache, e.ioNow())
+			tr.Begin(obs.PhaseCache, e.IONow())
 		}
 		key = cacheKey(universe)
 		if answer := e.cache.get(version, key); answer != nil {
@@ -285,7 +232,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 		}
 	}
 	if tr != nil {
-		tr.Begin(obs.PhasePlan, e.ioNow())
+		tr.Begin(obs.PhasePlan, e.IONow())
 	}
 	var plan CoverPlan
 	if e.UseViews {
@@ -295,7 +242,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 	}
 
 	if tr != nil {
-		tr.Begin(obs.PhaseFetch, e.ioNow())
+		tr.Begin(obs.PhaseFetch, e.IONow())
 	}
 	scratch := bmsPool.Get().(*[]*bitmap.Bitmap)
 	bms := (*scratch)[:0]
@@ -338,7 +285,7 @@ func (e *Engine) executeGraphQueryLocked(ctx context.Context, q *GraphQuery, tr 
 		bms = append(bms, e.Rel.FetchEdgeBitmap(id))
 	}
 	if tr != nil {
-		tr.Begin(obs.PhaseIntersect, e.ioNow())
+		tr.Begin(obs.PhaseIntersect, e.IONow())
 	}
 	// The conjunction intersects into one fresh destination the caller (and
 	// the cache) owns; the fetched column bitmaps are never mutated.
@@ -422,43 +369,18 @@ func (r *Result) FetchMeasures() int64 {
 	return scanned
 }
 
-// EvalExpr evaluates a boolean combination of graph queries (§3.2) and
-// returns the combined answer set. The whole expression runs under one read
-// lock, so all leaves see the same relation version.
-func (e *Engine) EvalExpr(expr Expr) (*bitmap.Bitmap, error) {
-	return e.EvalExprContext(context.Background(), expr)
-}
-
-// EvalExprContext is EvalExpr with cancellation, checked between the
-// leaves' bitmap fetches.
+// EvalExprContext evaluates a boolean combination of graph queries (§3.2)
+// and returns the combined answer set. The whole expression runs under one
+// read lock, so all leaves see the same relation version; ctx is checked
+// between the leaves' bitmap fetches.
 func (e *Engine) EvalExprContext(ctx context.Context, expr Expr) (*bitmap.Bitmap, error) {
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindExpr, expr.String(), e.ioNow())
-		tr.SetShard(e.shardID)
-	}
+	o := obs.Start(e.hooks, e, obs.KindExpr, e.hooks.Name(expr), e.shardID)
 	b, err := func() (*bitmap.Bitmap, error) {
 		e.Rel.BeginRead()
 		defer e.Rel.EndRead()
-		return e.evalExprLocked(ctx, expr, tr)
+		return e.evalExprLocked(ctx, expr, o.Root)
 	}()
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindExpr, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindExpr, expr.String(), start, slowIO, false, err)
-	}
+	o.Finish(false, nil, err)
 	return b, err
 }
 
@@ -484,7 +406,7 @@ func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTr
 				return nil, err
 			}
 			if tr != nil {
-				tr.Begin(obs.PhaseIntersect, e.ioNow())
+				tr.Begin(obs.PhaseIntersect, e.IONow())
 			}
 			acc = acc.And(b)
 		}
@@ -503,7 +425,7 @@ func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTr
 				return nil, err
 			}
 			if tr != nil {
-				tr.Begin(obs.PhaseIntersect, e.ioNow())
+				tr.Begin(obs.PhaseIntersect, e.IONow())
 			}
 			acc = acc.Or(b)
 		}
@@ -518,7 +440,7 @@ func (e *Engine) evalExprLocked(ctx context.Context, expr Expr, tr *obs.ActiveTr
 			return nil, err
 		}
 		if tr != nil {
-			tr.Begin(obs.PhaseIntersect, e.ioNow())
+			tr.Begin(obs.PhaseIntersect, e.IONow())
 		}
 		return a.AndNot(b), nil
 	default:
@@ -623,40 +545,15 @@ func coverPath(rel *colstore.Relation, pathEdges []colstore.EdgeID, funcName, me
 	return out
 }
 
-// ExecutePathAggQuery evaluates F_Gq (§3.4): structural filtering as for a
-// graph query, then per-record aggregation along every maximal path, folding
-// stored aggregate-view values where the path is covered by views.
-func (e *Engine) ExecutePathAggQuery(q *PathAggQuery) (*AggResult, error) {
-	return e.ExecutePathAggQueryContext(context.Background(), q)
-}
-
-// ExecutePathAggQueryContext is ExecutePathAggQuery with cancellation: ctx
-// is checked between bitmap fetches of the structural phase and between
+// ExecutePathAggQueryContext evaluates F_Gq (§3.4): structural filtering as
+// for a graph query, then per-record aggregation along every maximal path,
+// folding stored aggregate-view values where the path is covered by views.
+// ctx is checked between bitmap fetches of the structural phase and between
 // per-path aggregation chunks.
 func (e *Engine) ExecutePathAggQueryContext(ctx context.Context, q *PathAggQuery) (*AggResult, error) {
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindPathAgg, q.String(), e.ioNow())
-		tr.SetShard(e.shardID)
-	}
-	res, err := e.executePathAggQuery(ctx, q, tr)
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindPathAgg, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindPathAgg, q.String(), start, slowIO, false, err)
-	}
+	o := obs.Start(e.hooks, e, obs.KindPathAgg, e.hooks.Name(q), e.shardID)
+	res, err := e.executePathAggQuery(ctx, q, o.Root)
+	o.Finish(false, nil, err)
 	return res, err
 }
 
@@ -786,8 +683,8 @@ func foldGathered(k agg.Kernel, vals []float64, sc *pathScratch) (scanned int) {
 	return scanned
 }
 
-// executePathAggQuery is the body of ExecutePathAggQuery, with lifecycle
-// spans recorded on tr when tracing is enabled. The measure side runs
+// executePathAggQuery is the body of ExecutePathAggQueryContext, with
+// lifecycle spans recorded on tr when tracing is enabled. The measure side runs
 // block-at-a-time: per path, every segment column is batch-gathered over the
 // answer set into pooled scratch, then folded column-at-a-time with the
 // aggregate's block kernel.
@@ -816,7 +713,7 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 	paths := q.Paths
 	if len(paths) == 0 {
 		if tr != nil {
-			tr.Begin(obs.PhasePlan, e.ioNow())
+			tr.Begin(obs.PhasePlan, e.IONow())
 		}
 		paths, err = gpath.MaximalPaths(q.G)
 		if err != nil {
@@ -881,7 +778,7 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 	planPath := func(dst []plannedSeg, p gpath.Path) ([]plannedSeg, [2]int, error) {
 		segs := coverPath(e.Rel, resolve(p), q.Agg.Name, q.Measure, e.UseViews)
 		if tr != nil {
-			tr.Begin(obs.PhaseMeasureScan, e.ioNow())
+			tr.Begin(obs.PhaseMeasureScan, e.IONow())
 		}
 		viewSegs, rawSegs := 0, 0
 		for _, s := range segs {
@@ -968,7 +865,7 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 				return nil, err
 			}
 			if tr != nil {
-				tr.Begin(obs.PhasePlan, e.ioNow()) // cover the path with agg views
+				tr.Begin(obs.PhasePlan, e.IONow()) // cover the path with agg views
 			}
 			var counts [2]int
 			sc.planned, counts, err = planPath(sc.planned[:0], p)
@@ -978,7 +875,7 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 			}
 			sc.gather(res.RecordIDs, sc.planned)
 			if tr != nil {
-				tr.Begin(obs.PhaseAggregate, e.ioNow())
+				tr.Begin(obs.PhaseAggregate, e.IONow())
 			}
 			vals := newVals()
 			scanned += foldGathered(k, vals, sc)
@@ -1005,7 +902,7 @@ func (e *Engine) executePathAggLocked(ctx context.Context, q *PathAggQuery, tr *
 
 // --- scalar path aggregation --------------------------------------------------
 
-// ScalarAggResult is the answer of ExecutePathAggScalar: one aggregate value
+// ScalarAggResult is the answer of ExecutePathAggScalarContext: one aggregate value
 // folded across every answer record and every maximal path, rather than the
 // per-record × per-path matrix of AggResult.
 type ScalarAggResult struct {
@@ -1031,46 +928,21 @@ type ScalarAggResult struct {
 	ZoneSkipped bool
 }
 
-// ExecutePathAggScalar evaluates a path aggregation and folds it all the way
-// down to one scalar: Fold across the per-record path aggregates of every
-// answer record. For MIN/MAX queries whose maximal paths each cover to a
-// single segment (one raw edge, or one aggregate view spanning the whole
+// ExecutePathAggScalarContext evaluates a path aggregation and folds it all
+// the way down to one scalar: Fold across the per-record path aggregates of
+// every answer record. For MIN/MAX queries whose maximal paths each cover to
+// a single segment (one raw edge, or one aggregate view spanning the whole
 // path) and that touch no node measures, it runs a zone-skipping scan:
 // per-block zone maps prove most blocks cannot tighten the accumulator and
 // those blocks are never decoded — or even read from disk on a paged store.
 // Every other query falls back to the general per-record plan and folds its
 // result, so the scalar answer is always exactly Fold over
-// AggResult.FoldAcrossPaths() in record order, bit for bit.
-func (e *Engine) ExecutePathAggScalar(q *PathAggQuery) (*ScalarAggResult, error) {
-	return e.ExecutePathAggScalarContext(context.Background(), q)
-}
-
-// ExecutePathAggScalarContext is ExecutePathAggScalar with cancellation,
-// checked between bitmap fetches of the structural phase.
+// AggResult.FoldAcrossPaths() in record order, bit for bit. ctx is checked
+// between bitmap fetches of the structural phase.
 func (e *Engine) ExecutePathAggScalarContext(ctx context.Context, q *PathAggQuery) (*ScalarAggResult, error) {
-	var start time.Time
-	if e.metrics != nil || e.slow != nil {
-		start = time.Now()
-	}
-	var slowIO obs.IODelta
-	if e.slow != nil {
-		slowIO = e.ioNow()
-	}
-	var tr *obs.ActiveTrace
-	if e.traces != nil {
-		tr = obs.StartTrace(obs.KindPathAgg, q.String(), e.ioNow())
-		tr.SetShard(e.shardID)
-	}
-	res, err := e.executePathAggScalar(ctx, q, tr)
-	if tr != nil {
-		e.traces.Add(tr.Finish(e.ioNow()))
-	}
-	if e.metrics != nil && err == nil {
-		e.metrics.Record(obs.KindPathAgg, time.Since(start))
-	}
-	if e.slow != nil {
-		e.slowObserve(obs.KindPathAgg, q.String(), start, slowIO, false, err)
-	}
+	o := obs.Start(e.hooks, e, obs.KindPathAgg, e.hooks.Name(q), e.shardID)
+	res, err := e.executePathAggScalar(ctx, q, o.Root)
+	o.Finish(false, nil, err)
 	return res, err
 }
 
@@ -1086,7 +958,7 @@ func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *
 	paths := q.Paths
 	if len(paths) == 0 {
 		if tr != nil {
-			tr.Begin(obs.PhasePlan, e.ioNow())
+			tr.Begin(obs.PhasePlan, e.IONow())
 		}
 		var err error
 		paths, err = gpath.MaximalPaths(q.G)
@@ -1166,7 +1038,7 @@ func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *
 	// not exist: every record then folds to NULL on that path and it
 	// contributes nothing to the scalar).
 	if tr != nil {
-		tr.Begin(obs.PhaseMeasureScan, e.ioNow())
+		tr.Begin(obs.PhaseMeasureScan, e.IONow())
 	}
 	cols := make([]*colstore.MeasureColumn, 0, len(plans))
 	var spanEdges []colstore.EdgeID
@@ -1202,7 +1074,7 @@ func (e *Engine) executePathAggScalar(ctx context.Context, q *PathAggQuery, tr *
 	answer := structural.Answer
 	out := &ScalarAggResult{Query: q, Records: answer.Cardinality(), ZoneSkipped: true}
 	if tr != nil {
-		tr.Begin(obs.PhaseBlockSkip, e.ioNow())
+		tr.Begin(obs.PhaseBlockSkip, e.IONow())
 	}
 	scratch := recsPool.Get().(*[]uint32)
 	recs := answer.AppendInto((*scratch)[:0])

@@ -3,8 +3,6 @@ package query
 import (
 	"fmt"
 	"strings"
-
-	"grove/internal/graph"
 )
 
 // Explanation describes how a graph query would be executed: the §5.3
@@ -79,9 +77,4 @@ func (e *Engine) Explain(q *GraphQuery) (Explanation, error) {
 		Partitions:      e.Rel.PartitionSpan(universe),
 		UnknownElements: unknown,
 	}, nil
-}
-
-// ExplainGraph is a convenience wrapper over Explain for a bare graph.
-func (e *Engine) ExplainGraph(g *graph.Graph) (Explanation, error) {
-	return e.Explain(NewGraphQuery(g))
 }

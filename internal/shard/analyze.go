@@ -2,7 +2,6 @@ package shard
 
 import (
 	"grove/internal/bitmap"
-	"grove/internal/graph"
 	"grove/internal/obs"
 	"grove/internal/query"
 )
@@ -26,9 +25,9 @@ func (c *Coordinator) ExplainAnalyze(q *query.GraphQuery) (*query.ExplainAnalysi
 	if err != nil {
 		return nil, err
 	}
-	root := obs.StartTrace(obs.KindGraph, q.String(), c.ioNow())
+	root := obs.StartTrace(obs.KindGraph, q.String(), c.IONow())
 	root.SetShard(obs.ShardCoordinator)
-	root.Begin(obs.PhaseFanOut, c.ioNow())
+	root.Begin(obs.PhaseFanOut, c.IONow())
 	children := make([]obs.Trace, len(c.units))
 	answers := make([]*bitmap.Bitmap, len(c.units))
 	records := 0
@@ -43,21 +42,15 @@ func (c *Coordinator) ExplainAnalyze(q *query.GraphQuery) (*query.ExplainAnalysi
 		answers[s] = a.Answer
 		records += a.Records
 	}
-	root.Begin(obs.PhaseMerge, c.ioNow()) // closes the fan-out span
+	root.Begin(obs.PhaseMerge, c.IONow()) // closes the fan-out span
 	for _, ch := range children {
 		root.AddChild(ch)
 	}
 	merged := c.mergeBitmaps(answers)
 	return &query.ExplainAnalysis{
 		Plan:    plan,
-		Trace:   root.Finish(c.ioNow()),
+		Trace:   root.Finish(c.IONow()),
 		Records: records,
 		Answer:  merged,
 	}, nil
-}
-
-// ExplainAnalyzeGraph is a convenience wrapper over ExplainAnalyze for a bare
-// graph.
-func (c *Coordinator) ExplainAnalyzeGraph(g *graph.Graph) (*query.ExplainAnalysis, error) {
-	return c.ExplainAnalyze(query.NewGraphQuery(g))
 }

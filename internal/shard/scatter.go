@@ -132,64 +132,6 @@ type subOut[T any] struct {
 	dur    time.Duration
 }
 
-// rootObs is the coordinator-level observation of one logical query: its
-// root trace and its slow-log start point. With no hook attached it holds
-// only the labels and observes nothing.
-type rootObs struct {
-	kind, qstr string
-	ring       *obs.TraceRing
-	root       *obs.ActiveTrace
-	slow       *obs.SlowLog
-	start      time.Time
-	startIO    obs.IODelta
-}
-
-// observe opens the observation of one logical query. kind and qstr name the
-// query for the root trace and the slow log (qstr may be empty when neither
-// is attached — callers skip rendering it to keep the disabled path
-// allocation-free).
-func (c *Coordinator) observe(kind, qstr string) rootObs {
-	o := rootObs{kind: kind, qstr: qstr, ring: c.traces, slow: c.slow}
-	if o.slow != nil {
-		o.start = time.Now()
-		o.startIO = c.ioNow()
-	}
-	if o.ring != nil {
-		o.root = obs.StartTrace(kind, qstr, c.ioNow())
-		o.root.SetShard(obs.ShardCoordinator)
-	}
-	return o
-}
-
-// finish records the root trace and, when the query crossed the slow log's
-// threshold, one merged slow-log entry with the per-shard timings.
-func (c *Coordinator) finish(o *rootObs, shards []obs.ShardTiming, err error) {
-	if o.root != nil {
-		o.ring.Add(o.root.Finish(c.ioNow()))
-	}
-	if o.slow == nil {
-		return
-	}
-	d := time.Since(o.start)
-	if d < o.slow.Threshold() {
-		return
-	}
-	sq := obs.SlowQuery{
-		Kind:           o.kind,
-		Query:          o.qstr,
-		Shard:          obs.ShardCoordinator,
-		StartUnixNanos: o.start.UnixNano(),
-		DurationNanos:  d.Nanoseconds(),
-		IO:             c.ioNow().Sub(o.startIO),
-		Shards:         shards,
-	}
-	if err != nil {
-		sq.Error = err.Error()
-		sq.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	}
-	o.slow.Add(sq)
-}
-
 // runScattered executes one logical query across every shard and merges the
 // partials, whatever the shard count.
 //
@@ -202,17 +144,18 @@ func (c *Coordinator) finish(o *rootObs, shards []obs.ShardTiming, err error) {
 // result cache. With the slow log on, the clone detaches the engine-level
 // log — the coordinator records one merged entry per logical query with
 // per-shard timings instead of N fragments. Queue-wait and merge histograms
-// are observed when attached.
-func runScattered[T, R any](ctx context.Context, c *Coordinator, o rootObs,
+// are observed when attached. o is the query's observation, opened by the
+// entry point that received it and closed here.
+func runScattered[T, R any](ctx context.Context, c *Coordinator, o obs.Observation,
 	run func(ctx context.Context, eng *query.Engine, u *Unit) (T, error),
 	merge func(subs []T) R) (R, error) {
 
 	var zero R
-	if o.root != nil {
-		o.root.Begin(obs.PhaseFanOut, c.ioNow())
+	if o.Root != nil {
+		o.Root.Begin(obs.PhaseFanOut, c.IONow())
 	}
-	capture := o.root != nil
-	clone := capture || o.slow != nil
+	capture := o.Root != nil
+	clone := capture || c.hooks.Slow != nil
 	timed := clone || c.queueWait != nil
 	var dispatch time.Time
 	if timed {
@@ -259,24 +202,24 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, o rootObs,
 	if err != nil {
 		// The per-shard results (and their captured traces) are discarded by
 		// scatter on error; the root still records the failed fan-out.
-		c.finish(&o, nil, err)
+		o.Finish(false, nil, err)
 		return zero, err
 	}
-	if o.root != nil {
-		o.root.Begin(obs.PhaseMerge, c.ioNow()) // closes the fan-out span
+	if o.Root != nil {
+		o.Root.Begin(obs.PhaseMerge, c.IONow()) // closes the fan-out span
 		for s, sb := range subs {
-			o.root.AddSpan(obs.Span{Phase: obs.PhaseQueueWait, Shard: s,
+			o.Root.AddSpan(obs.Span{Phase: obs.PhaseQueueWait, Shard: s,
 				DurationNanos: sb.wait.Nanoseconds()})
 		}
 		cached := true
 		for _, sb := range subs {
 			if sb.traced {
-				o.root.AddChild(sb.child)
+				o.Root.AddChild(sb.child)
 			}
 			cached = cached && sb.traced && sb.child.Cached
 		}
 		if cached {
-			o.root.SetCached()
+			o.Root.SetCached()
 		}
 	}
 	vals := make([]T, len(subs))
@@ -292,26 +235,15 @@ func runScattered[T, R any](ctx context.Context, c *Coordinator, o rootObs,
 		c.mergeDur.Observe(time.Since(mstart).Seconds())
 	}
 	var timings []obs.ShardTiming
-	if o.slow != nil {
+	if c.hooks.Slow != nil {
 		timings = make([]obs.ShardTiming, len(subs))
 		for s, sb := range subs {
 			timings[s] = obs.ShardTiming{Shard: s,
 				QueueNanos: sb.wait.Nanoseconds(), DurationNanos: sb.dur.Nanoseconds()}
 		}
 	}
-	c.finish(&o, timings, nil)
+	o.Finish(false, timings, nil)
 	return out, nil
-}
-
-// queryName renders a query's display string only when an observability hook
-// needs it, so the disabled scatter path never pays the rendering.
-//
-//grove:hotpath
-func (c *Coordinator) queryName(s fmt.Stringer) string {
-	if c.traces == nil && c.slow == nil {
-		return ""
-	}
-	return s.String()
 }
 
 // --- graph queries -----------------------------------------------------------
@@ -340,7 +272,7 @@ func (c *Coordinator) mergeResults(q *query.GraphQuery, subs []*query.Result) *q
 
 // MatchContext executes a structural graph query across all shards.
 func (c *Coordinator) MatchContext(ctx context.Context, q *query.GraphQuery) (*query.Result, error) {
-	return runScattered(ctx, c, c.observe(obs.KindGraph, c.queryName(q)),
+	return runScattered(ctx, c, obs.Start(c.hooks, c, obs.KindGraph, c.hooks.Name(q), obs.ShardCoordinator),
 		func(ctx context.Context, eng *query.Engine, u *Unit) (*query.Result, error) {
 			return eng.ExecuteGraphQueryContext(ctx, q)
 		},
@@ -352,13 +284,13 @@ func (c *Coordinator) MatchContext(ctx context.Context, q *query.GraphQuery) (*q
 // each shard evaluates the whole expression locally and the global answer is
 // the translated union.
 func (c *Coordinator) EvalExprContext(ctx context.Context, expr query.Expr) (*bitmap.Bitmap, error) {
-	return c.evalScattered(ctx, c.observe(obs.KindExpr, c.queryName(expr)), expr)
+	return c.evalScattered(ctx, obs.Start(c.hooks, c, obs.KindExpr, c.hooks.Name(expr), obs.ShardCoordinator), expr)
 }
 
 // evalScattered is the expression evaluation body, parameterized on the
 // observation so statements can reuse it under the "statement" kind with the
 // statement's text.
-func (c *Coordinator) evalScattered(ctx context.Context, o rootObs, expr query.Expr) (*bitmap.Bitmap, error) {
+func (c *Coordinator) evalScattered(ctx context.Context, o obs.Observation, expr query.Expr) (*bitmap.Bitmap, error) {
 	return runScattered(ctx, c, o,
 		func(ctx context.Context, eng *query.Engine, u *Unit) (*bitmap.Bitmap, error) {
 			return eng.EvalExprContext(ctx, expr)
@@ -419,12 +351,12 @@ func (c *Coordinator) mergeAgg(q *query.PathAggQuery, subs []*query.AggResult) *
 
 // AggregateContext executes a path-aggregation query across all shards.
 func (c *Coordinator) AggregateContext(ctx context.Context, q *query.PathAggQuery) (*query.AggResult, error) {
-	return c.aggregateScattered(ctx, c.observe(obs.KindPathAgg, c.queryName(q)), q)
+	return c.aggregateScattered(ctx, obs.Start(c.hooks, c, obs.KindPathAgg, c.hooks.Name(q), obs.ShardCoordinator), q)
 }
 
 // aggregateScattered is the path-aggregation body, parameterized on the
 // observation (see evalScattered).
-func (c *Coordinator) aggregateScattered(ctx context.Context, o rootObs, q *query.PathAggQuery) (*query.AggResult, error) {
+func (c *Coordinator) aggregateScattered(ctx context.Context, o obs.Observation, q *query.PathAggQuery) (*query.AggResult, error) {
 	return runScattered(ctx, c, o,
 		func(ctx context.Context, eng *query.Engine, u *Unit) (*query.AggResult, error) {
 			return eng.ExecutePathAggQueryContext(ctx, q)
@@ -444,7 +376,7 @@ func (c *Coordinator) aggregateScattered(ctx context.Context, o rootObs, q *quer
 // reassociate.
 func (c *Coordinator) AggregateScalarContext(ctx context.Context, q *query.PathAggQuery) (*query.ScalarAggResult, error) {
 	if len(c.units) == 1 || (q != nil && (q.Agg.Name == agg.Min.Name || q.Agg.Name == agg.Max.Name)) {
-		return runScattered(ctx, c, c.observe(obs.KindPathAgg, c.queryName(q)),
+		return runScattered(ctx, c, obs.Start(c.hooks, c, obs.KindPathAgg, c.hooks.Name(q), obs.ShardCoordinator),
 			func(ctx context.Context, eng *query.Engine, u *Unit) (*query.ScalarAggResult, error) {
 				return eng.ExecutePathAggScalarContext(ctx, q)
 			},
@@ -512,13 +444,13 @@ func mergeScalar(q *query.PathAggQuery, subs []*query.ScalarAggResult) *query.Sc
 // statement kind and text, and the per-shard children trace under their own
 // execution kind.
 func (c *Coordinator) ExecuteStatementContext(ctx context.Context, text string) (*query.StatementResult, error) {
-	o := c.observe(obs.KindStatement, text)
-	if o.root != nil {
-		o.root.Begin(obs.PhaseParse, c.ioNow())
+	o := obs.Start(c.hooks, c, obs.KindStatement, text, obs.ShardCoordinator)
+	if o.Root != nil {
+		o.Root.Begin(obs.PhaseParse, c.IONow())
 	}
 	stmt, err := query.Parse(text)
 	if err != nil {
-		c.finish(&o, nil, err)
+		o.Finish(false, nil, err)
 		return nil, err
 	}
 	if stmt.Agg != nil {
@@ -557,60 +489,29 @@ func (c *Coordinator) batchWorkers(workers int) int {
 // semantics — one query's failure does not abort the rest — and a merged
 // query errors if it failed on any shard.
 func (c *Coordinator) ExecuteGraphBatchContext(ctx context.Context, queries []*query.GraphQuery, workers int) ([]*query.Result, []error) {
-	per := c.batchWorkers(workers)
-	type shardOut struct {
-		res  []*query.Result
-		errs []error
-	}
-	var dispatch time.Time
-	if c.queueWait != nil {
-		dispatch = time.Now()
-	}
-	subs, err := scatter(ctx, c, func(ctx context.Context, s int, u *Unit) (shardOut, error) {
-		if c.queueWait != nil {
-			c.queueWait[s].Observe(time.Since(dispatch).Seconds())
-		}
-		res, errs := query.NewBatchExecutor(u.Eng, per).ExecuteGraphQueriesContext(ctx, queries)
-		return shardOut{res: res, errs: errs}, nil
-	})
-	out := make([]*query.Result, len(queries))
-	outErrs := make([]error, len(queries))
-	if err != nil { // only a recovered panic can surface here
-		for i := range outErrs {
-			outErrs[i] = err
-		}
-		return out, outErrs
-	}
-	subsI := make([]*query.Result, len(subs))
-	var mstart time.Time
-	if c.mergeDur != nil {
-		mstart = time.Now()
-	}
-	for i, q := range queries {
-		var qerr error
-		for s := range subs {
-			qerr = preferErr(qerr, subs[s].errs[i])
-			subsI[s] = subs[s].res[i]
-		}
-		if qerr != nil {
-			outErrs[i] = qerr
-			continue
-		}
-		out[i] = c.mergeResults(q, subsI)
-	}
-	if c.mergeDur != nil {
-		c.mergeDur.Observe(time.Since(mstart).Seconds())
-	}
-	return out, outErrs
+	return runBatch(ctx, c, obs.KindGraph, queries, workers, (*query.Engine).ExecuteGraphQueryContext, c.mergeResults)
 }
 
 // ExecutePathAggBatchContext is ExecuteGraphBatchContext for
 // path-aggregation batches.
 func (c *Coordinator) ExecutePathAggBatchContext(ctx context.Context, queries []*query.PathAggQuery, workers int) ([]*query.AggResult, []error) {
+	return runBatch(ctx, c, obs.KindPathAgg, queries, workers, (*query.Engine).ExecutePathAggQueryContext, c.mergeAgg)
+}
+
+// runBatch executes a batch on every shard's worker pool (query.Batch) and
+// merges the per-query partials by query index. The coordinator received the
+// batch, so it counts it once: one batch of len(queries) members, each
+// member's latency its slowest per-shard execution time. The shard pools
+// share the busy-workers gauge; their engines stay unmetered.
+func runBatch[Q, R any](ctx context.Context, c *Coordinator, kind string, queries []Q, workers int,
+	exec func(*query.Engine, context.Context, Q) (R, error),
+	merge func(q Q, subs []R) R) ([]R, []error) {
+
 	per := c.batchWorkers(workers)
 	type shardOut struct {
-		res  []*query.AggResult
+		res  []R
 		errs []error
+		durs []time.Duration
 	}
 	var dispatch time.Time
 	if c.queueWait != nil {
@@ -620,36 +521,45 @@ func (c *Coordinator) ExecutePathAggBatchContext(ctx context.Context, queries []
 		if c.queueWait != nil {
 			c.queueWait[s].Observe(time.Since(dispatch).Seconds())
 		}
-		res, errs := query.NewBatchExecutor(u.Eng, per).ExecutePathAggQueriesContext(ctx, queries)
-		return shardOut{res: res, errs: errs}, nil
+		eng := u.Eng
+		if m := c.hooks.Metrics; m != nil {
+			eng = eng.Clone() // the pool's workers share the busy-workers gauge
+			eng.SetMetrics(m)
+		}
+		res, errs, durs := query.Batch(ctx, query.NewBatchExecutor(eng, per), queries, exec)
+		return shardOut{res: res, errs: errs, durs: durs}, nil
 	})
-	out := make([]*query.AggResult, len(queries))
+	out := make([]R, len(queries))
 	outErrs := make([]error, len(queries))
-	if err != nil {
+	durs := make([]time.Duration, len(queries))
+	if err != nil { // only a recovered panic can surface here
 		for i := range outErrs {
 			outErrs[i] = err
 		}
+		c.hooks.Metrics.RecordBatch(kind, durs, outErrs)
 		return out, outErrs
 	}
-	subsI := make([]*query.AggResult, len(subs))
+	subsI := make([]R, len(subs))
 	var mstart time.Time
 	if c.mergeDur != nil {
 		mstart = time.Now()
 	}
 	for i, q := range queries {
 		var qerr error
-		for s := range subs {
-			qerr = preferErr(qerr, subs[s].errs[i])
-			subsI[s] = subs[s].res[i]
+		for s, sb := range subs {
+			qerr = preferErr(qerr, sb.errs[i])
+			subsI[s] = sb.res[i]
+			durs[i] = max(durs[i], sb.durs[i])
 		}
 		if qerr != nil {
 			outErrs[i] = qerr
 			continue
 		}
-		out[i] = c.mergeAgg(q, subsI)
+		out[i] = merge(q, subsI)
 	}
 	if c.mergeDur != nil {
 		c.mergeDur.Observe(time.Since(mstart).Seconds())
 	}
+	c.hooks.Metrics.RecordBatch(kind, durs, outErrs)
 	return out, outErrs
 }

@@ -77,16 +77,17 @@ type Coordinator struct {
 	saveMu sync.Mutex
 
 	// Observability hooks, all nil by default (the disabled scatter path pays
-	// only nil checks). traces is the coordinator-owned ring: whatever N, a
-	// scatter-gathered query records one hierarchical root trace (fan-out /
-	// queue-wait / merge spans, per-shard engine traces as children); the ring
-	// is also attached to every shard engine so batch sub-queries — executed
-	// whole-batch per shard — record flat, shard-labelled traces. slow is the
-	// shared slow-query log. queueWait (one histogram per shard) and mergeDur
-	// observe scatter dispatch latency and merge wall time. Attach all of them
-	// before serving queries, like Engine.SetTraces.
-	traces    *obs.TraceRing
-	slow      *obs.SlowLog
+	// only nil checks). The coordinator receives every query, so it observes
+	// each one once (obs.Start/Finish): the metrics bundle counts it, the
+	// trace ring records one hierarchical root trace whatever N (fan-out /
+	// queue-wait / merge spans, per-shard engine traces as children), and the
+	// slow log one merged entry. Shard engines never carry the metrics; the
+	// ring and the slow log are also attached to them so batch sub-queries —
+	// executed whole-batch per shard — record flat, shard-labelled traces and
+	// entries. queueWait (one histogram per shard) and mergeDur observe
+	// scatter dispatch latency and merge wall time. Attach all of them before
+	// serving queries, like Engine.SetTraces.
+	hooks     obs.Hooks
 	queueWait []*obs.Histogram
 	mergeDur  *obs.Histogram
 
@@ -444,13 +445,11 @@ func (c *Coordinator) CacheStats() query.CacheStats {
 	return st
 }
 
-// SetMetrics attaches one shared metrics bundle to every shard engine
-// (QueryMetrics is atomic counters, safe to share).
-func (c *Coordinator) SetMetrics(m *obs.QueryMetrics) {
-	for _, u := range c.units {
-		u.Eng.SetMetrics(m)
-	}
-}
+// SetMetrics attaches the metrics bundle (nil disables). The coordinator
+// counts every query it receives once — a scattered query with its
+// end-to-end time, a batch member with its slowest per-shard time — so the
+// shard engines stay unmetered.
+func (c *Coordinator) SetMetrics(m *obs.QueryMetrics) { c.hooks.Metrics = m }
 
 // SetTraces attaches a trace ring (nil disables). The coordinator owns it:
 // whatever the shard count, each scatter-gathered query records one
@@ -459,27 +458,27 @@ func (c *Coordinator) SetMetrics(m *obs.QueryMetrics) {
 // (executed whole-batch per shard) record flat traces labelled with their
 // shard id.
 func (c *Coordinator) SetTraces(t *obs.TraceRing) {
-	c.traces = t
+	c.hooks.Traces = t
 	for _, u := range c.units {
 		u.Eng.SetTraces(t)
 	}
 }
 
 // Traces returns the coordinator's trace ring (nil when tracing is off).
-func (c *Coordinator) Traces() *obs.TraceRing { return c.traces }
+func (c *Coordinator) Traces() *obs.TraceRing { return c.hooks.Traces }
 
 // SetSlowLog attaches a slow-query log (nil disables). Single-query scatter
 // paths record one coordinator-level entry per logical query with per-shard
 // timings; batch sub-queries record per-shard entries through the engines.
 func (c *Coordinator) SetSlowLog(l *obs.SlowLog) {
-	c.slow = l
+	c.hooks.Slow = l
 	for _, u := range c.units {
 		u.Eng.SetSlowLog(l)
 	}
 }
 
 // SlowLog returns the attached slow-query log (nil when disabled).
-func (c *Coordinator) SlowLog() *obs.SlowLog { return c.slow }
+func (c *Coordinator) SlowLog() *obs.SlowLog { return c.hooks.Slow }
 
 // SetScatterHistograms attaches the scatter latency observers: queueWait[s]
 // records shard s's dispatch→execution wait and merge records the gather
@@ -689,12 +688,13 @@ func (c *Coordinator) ResetIOStats() {
 	}
 }
 
-// ioNow converts the summed shard trackers into the obs I/O shape — the
-// coordinator-level analogue of Engine.ioNow, used for root-trace deltas.
+// IONow converts the summed shard trackers into the obs I/O shape (the
+// coordinator's obs.IOSource) — the coordinator-level analogue of
+// Engine.IONow, used for root-trace and slow-log deltas.
 // Exact while nothing else touches the trackers; on a live store the fan-out
 // span's delta is the aggregate of all concurrent shard work, while the
 // per-shard child traces carry each shard's own exact deltas.
-func (c *Coordinator) ioNow() obs.IODelta {
+func (c *Coordinator) IONow() obs.IODelta {
 	s := c.IOStats()
 	return obs.IODelta{
 		BitmapColumnsFetched:  int64(s.BitmapColumnsFetched),

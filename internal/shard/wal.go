@@ -203,10 +203,10 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 	n := len(c.units)
 	anchors := make([]walAnchor, n)
 	var root *obs.ActiveTrace
-	if c.traces != nil {
-		root = obs.StartTrace(obs.KindWALReplay, dir, c.ioNow())
+	if c.hooks.Traces != nil {
+		root = obs.StartTrace(obs.KindWALReplay, dir, c.IONow())
 		root.SetShard(obs.ShardCoordinator)
-		root.Begin(obs.PhaseWALApply, c.ioNow())
+		root.Begin(obs.PhaseWALApply, c.IONow())
 	}
 	for i, u := range c.units {
 		res, err := wal.Scan(fs, walPath(dir, i, n))
@@ -246,7 +246,7 @@ func (c *Coordinator) ReplayWALFS(fs fsio.FS, dir string, pinned []uint64) error
 	c.walAnchor = anchors
 	c.walLoadDir = dir
 	if root != nil {
-		c.traces.Add(root.Finish(c.ioNow()))
+		c.hooks.Traces.Add(root.Finish(c.IONow()))
 	}
 	return nil
 }
@@ -365,10 +365,10 @@ func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w
 	}()
 
 	var root *obs.ActiveTrace
-	if c.traces != nil {
-		root = obs.StartTrace(obs.KindWALCheckpoint, dir, c.ioNow())
+	if c.hooks.Traces != nil {
+		root = obs.StartTrace(obs.KindWALCheckpoint, dir, c.IONow())
 		root.SetShard(obs.ShardCoordinator)
-		root.Begin(obs.PhaseSnapshot, c.ioNow())
+		root.Begin(obs.PhaseSnapshot, c.IONow())
 	}
 
 	n := len(c.units)
@@ -430,7 +430,7 @@ func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w
 	// shard without a working log, so the first error is surfaced after all
 	// shards have been attempted.
 	if root != nil {
-		root.Begin(obs.PhaseWALTruncate, c.ioNow())
+		root.Begin(obs.PhaseWALTruncate, c.IONow())
 	}
 	var firstErr error
 	logs := make([]*wal.Log, n)
@@ -447,7 +447,7 @@ func (c *Coordinator) checkpointLocked(fs fsio.FS, dir string, cfg wal.Config, w
 		}
 	}
 	if root != nil {
-		c.traces.Add(root.Finish(c.ioNow()))
+		c.hooks.Traces.Add(root.Finish(c.IONow()))
 	}
 	if w == nil {
 		if firstErr != nil {
@@ -515,11 +515,7 @@ func (c *Coordinator) CloseWAL() error {
 // guaranteed durable (the log latched a failure). With WAL disabled it never
 // errors.
 func (c *Coordinator) Append(rec *graph.Record) (uint32, error) {
-	n := len(c.units)
-	s := 0
-	if n > 1 {
-		s = int((c.rr.Add(1) - 1) % uint64(n))
-	}
+	s := int((c.rr.Add(1) - 1) % uint64(len(c.units)))
 	u := c.units[s]
 	w := c.wal.Load()
 	if w == nil {

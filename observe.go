@@ -141,8 +141,8 @@ func (s *Store) Metrics() *MetricsRegistry {
 	}
 	r := obs.NewRegistry()
 	s.metrics = r
-	// One shared metrics bundle serves every shard engine: the counters are
-	// atomic, so scatter-gathered sub-queries record into them concurrently.
+	// The coordinator receives every query and counts each once; batch
+	// workers on every shard share the busy-workers gauge atomically.
 	s.coord.SetMetrics(obs.NewQueryMetrics(r))
 
 	// Likewise one shared I/O sink taps every shard's column-store tracker.
@@ -399,5 +399,5 @@ func (s *Store) ServeMetrics(addr string) (*MetricsServer, error) {
 // analysis's root trace carries one child per shard and its observed I/O is
 // the exact sum over the children (see Coordinator.ExplainAnalyze).
 func (s *Store) ExplainAnalyze(g *Graph) (*ExplainAnalysis, error) {
-	return s.coord.ExplainAnalyzeGraph(g)
+	return s.coord.ExplainAnalyze(query.NewGraphQuery(g))
 }

@@ -300,7 +300,8 @@ func testSlowQueryLog(t *testing.T, n int) {
 // TestShardedDisabledObservabilityAddsNoAllocations is the acceptance guard
 // for the disabled scatter path, with one shard and with four: after tracing
 // and the slow log are switched off, a query must allocate exactly what a
-// never-instrumented store allocates.
+// never-instrumented store allocates — and so must a query on a store with
+// only the metrics attached, which the coordinator records with atomics.
 func TestShardedDisabledObservabilityAddsNoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random 1/4 of Puts under the race detector, so allocation counts are nondeterministic")
@@ -323,9 +324,12 @@ func testDisabledObservabilityAllocs(t *testing.T, n int) {
 	}
 	inst.DisableTracing()
 	inst.DisableSlowQueryLog()
+	metered := NewSharded(n)
+	loadSCMOrders(t, metered)
+	metered.Metrics()
 
-	// Warm both stores so goroutine stacks and scratch pools are paid up front.
-	for _, st := range []*Store{base, inst} {
+	// Warm the stores so goroutine stacks and scratch pools are paid up front.
+	for _, st := range []*Store{base, inst, metered} {
 		for i := 0; i < 5; i++ {
 			if _, err := st.Match(g); err != nil {
 				t.Fatal(err)
@@ -344,5 +348,13 @@ func testDisabledObservabilityAllocs(t *testing.T, n int) {
 	})
 	if disabled > baseline {
 		t.Errorf("disabled observability allocates: %.1f/op vs %.1f/op never-instrumented", disabled, baseline)
+	}
+	withMetrics := testing.AllocsPerRun(100, func() {
+		if _, err := metered.Match(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if withMetrics > baseline {
+		t.Errorf("attached metrics allocate: %.1f/op vs %.1f/op never-instrumented", withMetrics, baseline)
 	}
 }

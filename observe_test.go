@@ -12,14 +12,37 @@ import (
 
 // TestServeMetricsEndpoint is the acceptance check for the /metrics surface:
 // the endpoint serves parseable Prometheus text including the query latency
-// histogram and the cache hit/miss counters.
+// histogram and the cache hit/miss counters. It also pins the counting rule
+// for 1 and 4 shards: a query is observed once, by the layer that received
+// it — one Match adds 1 to its kind whatever the shard count, a k-query batch
+// adds 1 batch, k batch queries and k queries of its kind, and a statement
+// counts once under "statement".
 func TestServeMetricsEndpoint(t *testing.T) {
-	st := buildSCMStore(t)
-	st.EnableResultCache(true, 8)
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { testServeMetricsEndpoint(t, n) })
+	}
+}
+
+func testServeMetricsEndpoint(t *testing.T, n int) {
+	st := NewSharded(n)
+	loadSCMRecords(t, st)
+	st.EnableResultCache(true, 0)
 	st.EnableTracing(0)
 	st.Metrics()
 
-	// One repeated query (a hit on the rerun) and one aggregation.
+	// A 3-query batch and a statement, then one repeated query (a hit on the
+	// rerun) and one aggregation.
+	batch := []*Graph{
+		PathOf("A", "B", "F").ToGraph(),
+		PathOf("C", "H", "K").ToGraph(),
+		PathOf("D", "E", "G").ToGraph(),
+	}
+	if _, err := st.ExecuteBatch(batch, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Query("[A,D] AND NOT [G,I]"); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		if _, err := st.MatchPath("A", "D", "E"); err != nil {
 			t.Fatal(err)
@@ -52,17 +75,36 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 	out := string(body)
 
+	// Batch members trace flat, one trace per shard sub-query; every other
+	// query records one root trace.
+	traced := 3*n + 4
 	for _, want := range []string{
-		`grove_queries_total{kind="graph"} 2`,
+		`grove_queries_total{kind="graph"} 5`,
 		`grove_queries_total{kind="pathagg"} 1`,
-		`grove_query_duration_seconds_bucket{kind="graph",le="+Inf"} 2`,
-		`grove_query_duration_seconds_count{kind="graph"} 2`,
-		"grove_cache_hits_total 1",
-		"grove_cache_misses_total 2", // first run + the aggregation's structural filter
+		`grove_queries_total{kind="statement"} 1`,
+		`grove_queries_total{kind="expr"} 0`,
+		`grove_query_duration_seconds_bucket{kind="graph",le="+Inf"} 5`,
+		`grove_query_duration_seconds_count{kind="graph"} 5`,
+		`grove_query_duration_seconds_count{kind="pathagg"} 1`,
+		`grove_query_duration_seconds_count{kind="statement"} 1`,
+		`grove_query_duration_seconds_count{kind="expr"} 0`,
+		"grove_batch_batches_total 1",
+		"grove_batch_queries_total 3",
+		"grove_batch_workers_busy 0",
+		// Every shard keeps its own cache: each looks up every query once,
+		// and each hits on the rerun.
+		fmt.Sprintf("grove_cache_hits_total %d", n),
+		fmt.Sprintf("grove_cache_misses_total %d", 7*n), // batch 3 + statement leaves 2 + first run + the aggregation's structural filter
 		"grove_cache_evictions_total 0",
-		"grove_io_bitmap_fetches_total",
 		"grove_store_records 3",
-		"grove_traces_recorded_total 3",
+		fmt.Sprintf("grove_traces_recorded_total %d", traced),
+	} {
+		if !strings.Contains("\n"+out, "\n"+want+"\n") {
+			t.Errorf("/metrics missing %q:\n%s", want, out)
+		}
+	}
+	for _, want := range []string{
+		"grove_io_bitmap_fetches_total",
 		"# TYPE grove_query_duration_seconds histogram",
 		"# TYPE grove_cache_hits_total counter",
 	} {
@@ -94,8 +136,8 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != 3 {
-		t.Fatalf("traces = %d", len(traces))
+	if len(traces) != traced {
+		t.Fatalf("traces = %d, want %d", len(traces), traced)
 	}
 	if traces[0].Kind != "pathagg" || traces[1].Kind != "graph" {
 		t.Errorf("trace order = %s, %s, %s", traces[0].Kind, traces[1].Kind, traces[2].Kind)
